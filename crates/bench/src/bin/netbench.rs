@@ -23,9 +23,10 @@
 //! A/B: locked reads (S-locks plus the store's reader-writer lock)
 //! versus pinned-epoch snapshot reads at every client count. Every sweep
 //! also runs the `writer_scaling` A/B: all-write CRUD clients on
-//! disjoint subtrees versus the same clients on one hot subtree, the
-//! measurement for the partitioned write path (`--workload crud-disjoint`
-//! makes that shape the main sweep too).
+//! disjoint subtrees versus the same clients on one hot subtree — how
+//! much hot writers lose by queueing on the logical X lock across the
+//! fsync wait (`--workload crud-disjoint` makes that shape the main sweep
+//! too).
 //!
 //! ```sh
 //! cargo run --release -p axs-bench --bin netbench             # full sweep
@@ -48,11 +49,13 @@ const CLIENT_COUNTS: &[usize] = &[1, 4, 16, 64];
 /// scenario × client count, including the locked baseline and the
 /// single-store reference, so dashboards need not walk `runs`. v5 added
 /// the `--workload` flag, the per-run `workload`/`hot_subtree` fields,
-/// the `server.*`/`partition.*` counters in `server_metrics`, and the
+/// the `server.*` counters in `server_metrics`, and the
 /// `writer_scaling` section: the crud-disjoint A/B (N writers on
 /// disjoint subtrees vs. the same N hammering one hot subtree) at 4 and
-/// 16 clients.
-const SCHEMA_VERSION: u32 = 5;
+/// 16 clients. v6 dropped the conflict counts from `writer_scaling`
+/// and the latch counters from `server_metrics`: the mechanism they
+/// counted is gone.
+const SCHEMA_VERSION: u32 = 6;
 
 /// Client counts for the `writer_scaling` disjoint-vs-hot A/B.
 const WRITER_SCALING_CLIENTS: &[usize] = &[4, 16];
@@ -94,8 +97,8 @@ struct Options {
     mvcc: bool,
     /// Operation shape (`--workload mixed|crud-disjoint`). `mixed` is the
     /// read-mostly interleave; `crud-disjoint` is all-writes CRUD (insert
-    /// / replace / delete) with every client on its own subtree — the
-    /// shape the partitioned write path is built for.
+    /// / replace / delete) with every client on its own subtree, so no
+    /// writer waits on another's logical lock.
     workload: Workload,
     /// All clients write the *same* subtree (the hot half of the
     /// `writer_scaling` A/B). Internal — set by the A/B driver, not a
@@ -318,12 +321,11 @@ fn main() {
     });
 
     // Writer-scaling A/B: N all-write CRUD clients on disjoint subtrees
-    // (every writer maps to its own partition lanes) against the same N
-    // hammering one hot subtree (every writer queues on the same lanes).
-    // The delta is what the partitioned write path buys when writes
-    // actually are disjoint; the scraped `server.writes_parallel` /
-    // `server.writes_conflicted` counters show whether the overlap the
-    // rps claims actually happened inside the server.
+    // (no writer waits on another's logical X lock) against the same N
+    // hammering one hot subtree (every writer queues on one X lock, held
+    // across the fsync wait). The scraped `server.writes_parallel`
+    // counter shows whether the overlap the rps claims actually happened
+    // inside the server.
     println!("-- writer scaling (crud-disjoint vs. one hot subtree) --");
     let metric = |r: &RunResult, name: &str| {
         r.server_metrics
@@ -357,8 +359,7 @@ fn main() {
              \"disjoint_speedup\":{:.2},\
              \"disjoint_write_p50_us\":{},\"disjoint_write_p99_us\":{},\
              \"hot_write_p50_us\":{},\"hot_write_p99_us\":{},\
-             \"disjoint_writes_parallel\":{},\"disjoint_writes_conflicted\":{},\
-             \"hot_writes_parallel\":{},\"hot_writes_conflicted\":{}}}",
+             \"disjoint_writes_parallel\":{},\"hot_writes_parallel\":{}}}",
             disjoint.write_rps(),
             hot.write_rps(),
             disjoint.write_rps() / hot.write_rps().max(1e-9),
@@ -367,9 +368,7 @@ fn main() {
             RunResult::pct(&hot.write_latencies_us, 0.50),
             RunResult::pct(&hot.write_latencies_us, 0.99),
             metric(&disjoint, "server.writes_parallel"),
-            metric(&disjoint, "server.writes_conflicted"),
             metric(&hot, "server.writes_parallel"),
-            metric(&hot, "server.writes_conflicted"),
         ));
         writer_runs.push(disjoint);
         writer_runs.push(hot);
@@ -488,16 +487,12 @@ fn main() {
          the 64-client points especially are scheduler-bound and should \
          not be read as multi-core throughput. writer_scaling is the \
          crud-disjoint A/B: the same all-write CRUD clients on disjoint \
-         subtrees (one partition lane per writer) vs. one hot subtree \
-         (every writer on the same lane) — on this 1-core host the \
-         partitioned write path cannot execute mutations in parallel \
-         (the store mutation itself stays serialized behind one short \
-         exclusive lock), so any disjoint_speedup comes from overlapping \
-         commit *waits* (WAL fsync batching, snapshot publish merging) \
-         across writers, and a speedup near 1.0 is the honest 1-core \
-         result, not a regression; the writes_parallel/writes_conflicted \
-         counters are the ground truth for how much overlap and queueing \
-         actually occurred inside the server\"\n}\n",
+         subtrees vs. one hot subtree — store mutation is always \
+         serialized behind the store's write guard, so any \
+         disjoint_speedup is hot writers queueing on one logical X lock \
+         across the fsync wait while disjoint writers share WAL fsync \
+         batches; the writes_parallel counter is the ground truth for \
+         how much overlap actually occurred inside the server\"\n}\n",
     );
     if let Err(e) = std::fs::write(&opts.out, doc) {
         eprintln!("cannot write {}: {e}", opts.out);
@@ -709,8 +704,7 @@ fn run_one(clients: usize, opts: &Options) -> RunResult {
                         // and a delete (followed by a reinsert so `last`
                         // stays live) every eighth op. Clients touch only
                         // nodes they created, so in disjoint mode the
-                        // writers never overlap logically — exactly the
-                        // shape the partitioned write path should scale.
+                        // writers never conflict logically.
                         let insert = |c: &mut Client, frag: &str| loop {
                             match c.insert_last(subtree, frag) {
                                 Ok((start, _)) => break start,
@@ -800,15 +794,7 @@ fn run_one(clients: usize, opts: &Options) -> RunResult {
         .into_iter()
         .filter(|e| {
             [
-                "rq.",
-                "path.",
-                "obs.",
-                "wal.",
-                "cat.",
-                "mvcc.",
-                "lock.",
-                "server.",
-                "partition.",
+                "rq.", "path.", "obs.", "wal.", "cat.", "mvcc.", "lock.", "server.",
             ]
             .iter()
             .any(|p| e.name.starts_with(p))

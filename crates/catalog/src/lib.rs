@@ -169,7 +169,10 @@ pub struct StoreSlot {
     pub name: String,
     /// The store's process-lifetime id (what the wire protocol routes by).
     pub id: u16,
-    /// Physical access: shared for read opcodes, exclusive for writes.
+    /// Physical access: shared for read opcodes, exclusive for writes. The
+    /// write guard is the only physical arbiter of a write — it mutates,
+    /// seals its WAL batch and publishes its epoch under it
+    /// (`XmlStore::commit`), then waits for the group fsync without it.
     pub store: RwLock<XmlStore>,
     /// This store's own logical lock hierarchy (store / block / range).
     pub locks: LockManager,
@@ -178,18 +181,6 @@ pub struct StoreSlot {
     /// `locks`, and pinned snapshots stay readable even if the catalog
     /// evicts (flushes and closes) the store underneath them.
     pub epochs: Arc<axs_core::EpochRegistry>,
-    /// The store's commit combiner: writers commit with
-    /// `commit_nopublish` under the exclusive store lock, then run
-    /// `ensure_published` here *after* dropping it, so concurrent
-    /// partitions' deltas merge into one epoch publish.
-    pub publisher: Arc<axs_core::Publisher>,
-    /// Range id → write partition, shared with the store that maintains
-    /// it; the server maps granted X-subtrees through this without the
-    /// store lock.
-    pub partitions: Arc<axs_core::PartitionMap>,
-    /// Per-partition writer latches: writers on disjoint partitions
-    /// overlap, conflicting writers queue here (and are counted).
-    pub latches: axs_core::PartitionLatches,
     /// LRU stamp maintained by [`Catalog::slot_by_id`].
     last_used: AtomicU64,
 }
@@ -197,18 +188,12 @@ pub struct StoreSlot {
 impl StoreSlot {
     fn new(name: String, id: u16, store: XmlStore) -> Arc<StoreSlot> {
         let epochs = store.epoch_registry();
-        let publisher = store.publisher();
-        let partitions = store.partition_map();
-        let latches = axs_core::PartitionLatches::new(partitions.partitions());
         Arc::new(StoreSlot {
             name,
             id,
             store: RwLock::new(store),
             locks: LockManager::new(),
             epochs,
-            publisher,
-            partitions,
-            latches,
             last_used: AtomicU64::new(0),
         })
     }

@@ -375,6 +375,12 @@ mod tests {
         let out = run(&mut s, "query //order");
         assert!(out.starts_with("2 match(es)"), "{out}");
 
+        let out = run(&mut s, "query /orders/order/@id");
+        assert!(
+            out.contains(r#"id="1""#) && out.contains(r#"id="2""#),
+            "{out}"
+        );
+
         let out = run(&mut s, "print");
         assert!(out.contains(r#"<order id="2">"#), "{out}");
     }

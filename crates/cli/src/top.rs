@@ -155,19 +155,14 @@ pub fn render_dashboard(
         get(cur, "adapt.shrinks"),
         get(cur, "adapt.holds"),
     );
-    // Writer-concurrency panel: how much of the partitioned write path's
-    // parallelism actually materializes — writes that overlapped another
-    // write vs. writes that queued on a shared partition lane.
+    // Writers panel: how often writes overlap (one mutating or queued on
+    // the store guard while another waits on the group fsync).
     let _ = writeln!(
         out,
-        "writers: parallel {} / conflicted {}   in flight {} (max {})   partitions {} ({} ranges)   latch wait p99 {}us",
+        "writers: parallel {}   in flight {} (max {})",
         get(cur, "server.writes_parallel"),
-        get(cur, "server.writes_conflicted"),
         get(cur, "server.writes_in_flight"),
         get(cur, "server.writes_max_in_flight"),
-        get(cur, "partition.lanes"),
-        get(cur, "partition.ranges_assigned"),
-        get(cur, "obs.partition_wait_us.p99_us"),
     );
     let _ = writeln!(
         out,
@@ -279,24 +274,17 @@ mod tests {
     }
 
     #[test]
-    fn dashboard_shows_writer_concurrency_panel() {
+    fn dashboard_shows_writers_panel() {
         let cur = vec![
             e("server.writes_parallel", 12),
-            e("server.writes_conflicted", 3),
             e("server.writes_in_flight", 2),
             e("server.writes_max_in_flight", 4),
-            e("partition.lanes", 8),
-            e("partition.ranges_assigned", 21),
-            e("obs.partition_wait_us.p99_us", 37),
         ];
         let text = render_dashboard(None, &cur, Duration::from_secs(1), "x");
         assert!(
-            text.contains("writers: parallel 12 / conflicted 3"),
+            text.contains("writers: parallel 12   in flight 2 (max 4)"),
             "{text}"
         );
-        assert!(text.contains("in flight 2 (max 4)"), "{text}");
-        assert!(text.contains("partitions 8 (21 ranges)"), "{text}");
-        assert!(text.contains("latch wait p99 37us"), "{text}");
     }
 
     #[test]

@@ -36,7 +36,6 @@ pub mod maintenance;
 pub mod mvcc;
 pub mod navigate;
 pub mod ops;
-pub mod partition;
 pub mod policy;
 pub mod psvi;
 pub mod range;
@@ -51,10 +50,7 @@ pub use cursor::{StoreCursor, ViewCursor};
 pub use error::StoreError;
 pub use locking::ConcurrentStore;
 pub use maintenance::{CompactionReport, StorageReport};
-pub use mvcc::{
-    EpochRegistry, LazyRange, MvccStats, PinnedSnapshot, PublishDelta, Publisher, Snapshot,
-};
-pub use partition::{PartitionGuard, PartitionLatches, PartitionMap, DEFAULT_PARTITIONS};
+pub use mvcc::{EpochRegistry, LazyRange, MvccStats, PinnedSnapshot, Snapshot};
 pub use policy::{AdaptiveConfig, AdaptiveController, IndexingPolicy};
 pub use psvi::AnnotateOutcome;
 pub use range::{RangeHeader, RANGE_HEADER_LEN};

@@ -63,30 +63,6 @@ impl ConcurrentStore {
         Ok(result)
     }
 
-    /// Like [`ConcurrentStore::with_write_durable`], but through the
-    /// partitioned commit pipeline the server uses: the batch is sealed
-    /// under the lock with [`XmlStore::commit_nopublish`], and the epoch
-    /// publish runs *after* the lock drops — merging with concurrent
-    /// committers through the store's [`crate::mvcc::Publisher`] — before
-    /// waiting on the shared group fsync.
-    pub fn with_write_pipelined<R>(
-        &self,
-        f: impl FnOnce(&mut XmlStore) -> R,
-    ) -> Result<R, StoreError> {
-        let (result, ticket, publisher) = {
-            let mut store = self.inner.write();
-            let result = f(&mut store);
-            let publisher = store.publisher();
-            let ticket = store.commit_nopublish()?;
-            (result, ticket, publisher)
-        };
-        if let Some(ticket) = ticket {
-            publisher.ensure_published(ticket.lsn())?;
-            ticket.wait()?;
-        }
-        Ok(result)
-    }
-
     /// `read(id)` under shared access: concurrent readers proceed in
     /// parallel, memoizing positions as they go.
     pub fn read_node(&self, id: NodeId) -> Result<Vec<Token>, StoreError> {

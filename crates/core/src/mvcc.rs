@@ -407,130 +407,6 @@ impl EpochRegistry {
     }
 }
 
-/// What one commit changed, captured under the store's exclusive lock:
-/// the document-ordered range-id chain after the mutation, plus the raw
-/// payloads of the ranges the commit dirtied. Everything else is resolved
-/// against the previous epoch at publish time (copy-on-write).
-pub struct PublishDelta {
-    /// LSN of the WAL commit record sealing this delta's batch.
-    pub lsn: u64,
-    /// Stable range ids in document order — the full chain at capture time.
-    pub order: Vec<u64>,
-    /// Encoded payloads of the ranges dirtied since the last capture,
-    /// keyed by stable range id.
-    pub fresh: HashMap<u64, Arc<LazyRange>>,
-}
-
-/// The commit combiner: turns per-writer commit deltas into merged epoch
-/// publishes, outside every store lock.
-///
-/// Writers on disjoint partitions call [`Publisher::submit`] under the
-/// (short) exclusive store section — right after their batch is sealed in
-/// the WAL — then release the store and call
-/// [`Publisher::ensure_published`] before waiting on their group-commit
-/// ticket. The first writer through publishes one snapshot covering every
-/// pending delta; the others observe `published_lsn` has already passed
-/// their commit and piggyback on that merged epoch. Visibility ordering is
-/// preserved exactly as before: an epoch becomes visible after its batch's
-/// WAL append and before the group fsync, so recovery still replays the
-/// committed prefix into one epoch (the crash-matrix invariant).
-pub struct Publisher {
-    epochs: Arc<EpochRegistry>,
-    /// Serializes snapshot construction + publish. `pending` is taken
-    /// *inside* this lock so a delta submitted between the gate check and
-    /// the publish is either included or left for its own writer.
-    publish_lock: Mutex<()>,
-    pending: Mutex<Option<PublishDelta>>,
-    published_lsn: AtomicU64,
-    merged_publishes: AtomicU64,
-    publishes: AtomicU64,
-}
-
-impl Publisher {
-    /// A publisher feeding `epochs`.
-    pub fn new(epochs: Arc<EpochRegistry>) -> Publisher {
-        Publisher {
-            epochs,
-            publish_lock: Mutex::new(()),
-            pending: Mutex::new(None),
-            published_lsn: AtomicU64::new(0),
-            merged_publishes: AtomicU64::new(0),
-            publishes: AtomicU64::new(0),
-        }
-    }
-
-    /// Queues one commit's delta, merging it into any delta already
-    /// pending (fresh payloads union, latest chain order and LSN win).
-    /// Called with the store's exclusive lock held, so submissions are
-    /// totally ordered with the mutations they describe.
-    pub fn submit(&self, delta: PublishDelta) {
-        let mut pending = self.pending.lock();
-        match pending.as_mut() {
-            Some(p) => {
-                p.fresh.extend(delta.fresh);
-                p.order = delta.order;
-                p.lsn = p.lsn.max(delta.lsn);
-            }
-            None => *pending = Some(delta),
-        }
-    }
-
-    /// Publishes every pending delta as one epoch unless a concurrent
-    /// publisher already covered `lsn` (then this commit rides the merged
-    /// epoch). Call *after* releasing the store lock and *before* waiting
-    /// on the commit ticket.
-    pub fn ensure_published(&self, lsn: u64) -> Result<(), StoreError> {
-        if lsn > 0 && self.published_lsn.load(Ordering::Acquire) >= lsn {
-            self.merged_publishes.fetch_add(1, Ordering::Relaxed);
-            return Ok(());
-        }
-        let _gate = self.publish_lock.lock();
-        if lsn > 0 && self.published_lsn.load(Ordering::Acquire) >= lsn {
-            self.merged_publishes.fetch_add(1, Ordering::Relaxed);
-            return Ok(());
-        }
-        let Some(delta) = self.pending.lock().take() else {
-            // A direct publish (flush, recovery) already covered the
-            // pending work; nothing left to do.
-            return Ok(());
-        };
-        let prev = self.epochs.current();
-        let mut ranges = Vec::with_capacity(delta.order.len());
-        for rid in &delta.order {
-            let arc = delta
-                .fresh
-                .get(rid)
-                .cloned()
-                .or_else(|| prev.as_ref().and_then(|p| p.range_arc(*rid)))
-                .ok_or(StoreError::Corrupt("publish delta missing a range"))?;
-            ranges.push(arc);
-        }
-        self.epochs.publish(delta.lsn, ranges);
-        self.publishes.fetch_add(1, Ordering::Relaxed);
-        let new = delta.lsn;
-        self.published_lsn.fetch_max(new, Ordering::Release);
-        Ok(())
-    }
-
-    /// Notes a direct, out-of-band publish of the full chain (flush,
-    /// build, open): drops any pending delta — the direct snapshot already
-    /// includes that work — and advances the published watermark.
-    pub fn note_direct_publish(&self, lsn: u64) {
-        let _gate = self.publish_lock.lock();
-        *self.pending.lock() = None;
-        self.published_lsn.fetch_max(lsn, Ordering::Release);
-    }
-
-    /// `(publishes, merged)`: epochs this publisher built vs. commits that
-    /// piggybacked on an epoch another writer published.
-    pub fn stats(&self) -> (u64, u64) {
-        (
-            self.publishes.load(Ordering::Relaxed),
-            self.merged_publishes.load(Ordering::Relaxed),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -651,63 +527,5 @@ mod tests {
         let pin = reg.pin().unwrap();
         let _ = pin.view_load_at((0, 0)).unwrap();
         assert_eq!(reg.stats().lazy_materialized, 1, "decode survives COW");
-    }
-
-    #[test]
-    fn publisher_merges_pending_deltas_into_one_epoch() {
-        let reg = registry();
-        let publisher = Publisher::new(reg.clone());
-        // Two commits land before anyone publishes (the combiner window).
-        let r1 = lazy(&reg, 1, 1);
-        let r2 = lazy(&reg, 2, 10);
-        publisher.submit(PublishDelta {
-            lsn: 5,
-            order: vec![1],
-            fresh: HashMap::from([(1, r1.clone())]),
-        });
-        publisher.submit(PublishDelta {
-            lsn: 7,
-            order: vec![1, 2],
-            fresh: HashMap::from([(2, r2)]),
-        });
-        publisher.ensure_published(7).unwrap();
-        let snap = reg.current().unwrap();
-        assert_eq!(snap.epoch(), 1);
-        assert_eq!(snap.lsn(), 7);
-        assert_eq!(snap.range_count(), 2, "merged epoch covers both commits");
-        // The earlier committer piggybacks: no second epoch.
-        publisher.ensure_published(5).unwrap();
-        assert_eq!(reg.current().unwrap().epoch(), 1);
-        assert_eq!(publisher.stats(), (1, 1), "one publish, one merge");
-        // A later commit resolves clean ranges from the previous epoch.
-        publisher.submit(PublishDelta {
-            lsn: 9,
-            order: vec![1, 2],
-            fresh: HashMap::new(),
-        });
-        publisher.ensure_published(9).unwrap();
-        let snap = reg.current().unwrap();
-        assert_eq!(snap.epoch(), 2);
-        assert!(
-            Arc::ptr_eq(&snap.range_arc(1).unwrap(), &r1),
-            "clean range shared by Arc across the publisher path"
-        );
-    }
-
-    #[test]
-    fn direct_publish_supersedes_pending_deltas() {
-        let reg = registry();
-        let publisher = Publisher::new(reg.clone());
-        publisher.submit(PublishDelta {
-            lsn: 4,
-            order: vec![1],
-            fresh: HashMap::from([(1, lazy(&reg, 1, 1))]),
-        });
-        // A flush publishes the full chain directly…
-        reg.publish(0, vec![lazy(&reg, 1, 1)]);
-        publisher.note_direct_publish(0);
-        // …so the writer's ensure_published finds nothing left to do.
-        publisher.ensure_published(4).unwrap();
-        assert_eq!(reg.current().unwrap().epoch(), 1);
     }
 }

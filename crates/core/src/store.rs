@@ -8,8 +8,7 @@
 
 use crate::adapt::{AdaptEventKind, AdaptLog};
 use crate::error::StoreError;
-use crate::mvcc::{EpochRegistry, LazyRange, MvccStats, PublishDelta, Publisher};
-use crate::partition::PartitionMap;
+use crate::mvcc::{EpochRegistry, LazyRange, MvccStats};
 use crate::policy::{AdaptiveController, AdaptiveDecision, IndexingPolicy};
 use crate::range::{chop_fragment, RangeData, RangeHeader, RANGE_HEADER_LEN};
 use crate::stats::{LookupPath, SharedStats, StoreStats};
@@ -215,7 +214,7 @@ impl StoreBuilder {
         let mut store = XmlStore::empty(self.policy, data_pool, index_pool, meta_page)?;
         store.wal = wal;
         store.write_meta()?;
-        store.publish_snapshot(0)?;
+        store.publish_epoch(0)?;
         Ok(store)
     }
 
@@ -308,7 +307,7 @@ impl StoreBuilder {
             .store(torn_tails, std::sync::atomic::Ordering::Relaxed);
         store.rebuild_indexes()?;
         // Epoch 1 is the recovered state: exactly the WAL-committed prefix.
-        store.publish_snapshot(0)?;
+        store.publish_epoch(0)?;
         Ok(store)
     }
 }
@@ -368,16 +367,8 @@ pub struct XmlStore {
     /// sessions that pin epochs, so it outlives catalog eviction.
     epochs: Arc<EpochRegistry>,
     /// Ranges whose payload changed since the last published snapshot —
-    /// the copy-on-write set: only these are re-decoded at publish time.
+    /// the copy-on-write set: only these are re-copied at publish time.
     mvcc_dirty: HashSet<u64>,
-    /// Commit combiner: merges concurrent writers' publish deltas into one
-    /// epoch publish outside the store's exclusive section. Shared (`Arc`)
-    /// with the server so `ensure_published` runs after the lock drops.
-    publisher: Arc<Publisher>,
-    /// Range id → write partition, maintained at range creation / split /
-    /// merge; shared with the server so it maps granted X-subtrees onto
-    /// partition latches without the store lock.
-    partitions: Arc<PartitionMap>,
 }
 
 impl XmlStore {
@@ -403,7 +394,6 @@ impl XmlStore {
             .initial_target_range_bytes()
             .min(block::max_payload(page_size))
             .max(RANGE_HEADER_LEN + 16);
-        let epochs = Arc::new(EpochRegistry::default());
         Ok(XmlStore {
             data_pool,
             index_pool,
@@ -424,10 +414,8 @@ impl XmlStore {
             target_range_bytes: AtomicUsize::new(target_range_bytes),
             policy,
             stats: SharedStats::default(),
-            publisher: Arc::new(Publisher::new(epochs.clone())),
-            epochs,
+            epochs: Arc::new(EpochRegistry::default()),
             mvcc_dirty: HashSet::new(),
-            partitions: Arc::new(PartitionMap::default()),
         })
     }
 
@@ -586,7 +574,6 @@ impl XmlStore {
             block::remove_range(buf, block_page, slot).map(|_| ())
         })??;
         self.range_dir.remove(&range_id);
-        self.partitions.remove(range_id);
         if let Some(iv) = header.interval() {
             self.range_index.remove(iv.start)?;
         }
@@ -629,7 +616,7 @@ impl XmlStore {
             self.data_pool.sync()?;
         }
         self.index_pool.sync()?;
-        self.publish_snapshot(0)?;
+        self.publish_epoch(0)?;
         Ok(())
     }
 
@@ -644,52 +631,16 @@ impl XmlStore {
     /// share one fsync (see [`StoreBuilder::commit_window`]). Unlike
     /// [`XmlStore::flush`], no data page reaches the data file and the WAL
     /// keeps growing until the next flush; recovery replays the committed
-    /// batches in order. Returns `Ok(None)` for in-memory stores, which
-    /// have nothing to make durable.
+    /// batches in order. Every commit publishes exactly one new MVCC epoch.
+    /// Returns `Ok(None)` for in-memory stores, which have nothing to make
+    /// durable.
     pub fn commit(&mut self) -> Result<Option<CommitTicket>, StoreError> {
-        let ticket = self.commit_nopublish()?;
-        if let Some(t) = &ticket {
-            self.publisher.ensure_published(t.lsn())?;
-        }
-        Ok(ticket)
-    }
-
-    /// [`XmlStore::commit`] without the epoch publish: seals the batch in
-    /// the WAL and *submits* a publish delta to the store's [`Publisher`]
-    /// instead of building the snapshot inline. The caller must call
-    /// [`Publisher::ensure_published`] with the ticket's LSN — normally
-    /// *after* releasing exclusive store access, so the (O(ranges))
-    /// snapshot construction runs outside the write gate and concurrent
-    /// partitions' deltas merge into a single epoch publish, ordered after
-    /// their batched WAL appends and before the shared group fsync.
-    pub fn commit_nopublish(&mut self) -> Result<Option<CommitTicket>, StoreError> {
         let _span = axs_obs::span_enter(axs_obs::EventKind::Commit, 0, 0);
         self.write_meta()?;
-        if self.wal.is_none() {
-            // In-memory stores have no WAL LSN to gate on; publish inline.
-            self.publish_snapshot(0)?;
+        let Some(wal) = self.wal.as_mut() else {
+            self.publish_epoch(0)?;
             return Ok(None);
-        }
-        // Capture the delta while we still hold exclusive access: the chain
-        // order (8-byte header peeks only) plus raw payload copies for just
-        // the dirty ranges. Token decoding stays lazy (`LazyRange`).
-        let order = self.chain_range_ids()?;
-        let mut fresh = HashMap::with_capacity(self.mvcc_dirty.len());
-        let counter = self.epochs.materialized_counter();
-        for rid in std::mem::take(&mut self.mvcc_dirty) {
-            // A range can be dirtied and then dropped (merge/delete) in the
-            // same batch; absent from the directory means absent from the
-            // chain, so it needs no payload.
-            if !self.range_dir.contains_key(&rid) {
-                continue;
-            }
-            let (_, _, payload) = self.load_range_payload(rid)?;
-            fresh.insert(
-                rid,
-                Arc::new(LazyRange::from_payload(payload, counter.clone())?),
-            );
-        }
-        let wal = self.wal.as_mut().expect("checked above");
+        };
         let images = self.data_pool.unlogged_dirty_images();
         let mut last_lsn = 0;
         for (page, image) in &images {
@@ -700,34 +651,14 @@ impl XmlStore {
         if last_lsn > 0 {
             self.data_pool.set_stamp_lsn(last_lsn);
         }
-        // Hand the delta to the publisher only after the batch is sealed in
-        // the WAL: the eventual epoch publish is thereby ordered after the
-        // batched append and before the group fsync — the same
-        // visibility-before-durability point as before. Snapshot readers
-        // may observe the commit before its fsync completes, and a crash in
-        // that window erases the epoch together with the batch on replay.
-        self.publisher.submit(PublishDelta {
-            lsn: ticket.lsn(),
-            order,
-            fresh,
-        });
+        // Publish only after the batch is sealed in the WAL and before the
+        // caller waits on the group fsync: snapshot readers may observe the
+        // commit before its fsync completes, and a crash in that window
+        // erases the epoch together with the batch on replay. The caller
+        // holds exclusive access, so publishes are totally ordered with the
+        // mutations they describe.
+        self.publish_epoch(ticket.lsn())?;
         Ok(Some(ticket))
-    }
-
-    /// Stable range ids in document (chain) order, peeking only the first
-    /// 8 payload bytes of each slot — cheap enough to run per commit even
-    /// on large stores.
-    fn chain_range_ids(&self) -> Result<Vec<u64>, StoreError> {
-        let mut order = Vec::with_capacity(self.range_dir.len());
-        let mut cur = self.first_range_pos()?;
-        while let Some((b, s)) = cur {
-            let rid = self.data_pool.read(b, |buf| {
-                block::range_bytes(buf, b, s).map(|p| get_u64(p, 0))
-            })??;
-            order.push(rid);
-            cur = self.next_range_pos(b, s)?;
-        }
-        Ok(order)
     }
 
     // ---- MVCC snapshot publication -----------------------------------------
@@ -744,53 +675,49 @@ impl XmlStore {
     }
 
     /// Marks a range's payload as changed since the last snapshot; publish
-    /// re-decodes exactly these and shares every other range's `Arc` with
+    /// re-copies exactly these and shares every other range's `Arc` with
     /// the previous epoch.
     fn mark_range_dirty(&mut self, range_id: u64) {
         self.mvcc_dirty.insert(range_id);
     }
 
-    /// Publishes the current range chain as the next epoch (copy-on-write:
-    /// clean ranges reuse the previous snapshot's — possibly already
-    /// decoded — `LazyRange`; dirty ranges re-enter lazily, decoded only on
-    /// first snapshot read).
-    fn publish_snapshot(&mut self, lsn: u64) -> Result<(), StoreError> {
+    /// Publishes the current range chain as the next epoch — the one
+    /// routine behind commit, flush, build and open. Copy-on-write at range
+    /// granularity: the walk peeks each slot's range header and shares the
+    /// previous epoch's (possibly already decoded) `Arc<LazyRange>` unless
+    /// the range is dirty or new; only then is the payload copied, and it
+    /// re-enters lazily, decoded on first snapshot read. A range dirtied
+    /// and then merged away in the same batch is simply not on the chain.
+    fn publish_epoch(&mut self, lsn: u64) -> Result<(), StoreError> {
         let prev = self.epochs.current();
         let counter = self.epochs.materialized_counter();
         let mut ranges = Vec::with_capacity(self.range_dir.len());
         let mut cur = self.first_range_pos()?;
         while let Some((b, s)) = cur {
-            let payload = self
+            let range = self
                 .data_pool
-                .read(b, |buf| block::range_bytes(buf, b, s).map(<[u8]>::to_vec))??;
-            let header = RangeHeader::decode(&payload)?;
-            let reuse = if self.mvcc_dirty.contains(&header.range_id) {
-                None
-            } else {
-                prev.as_ref().and_then(|p| p.range_arc(header.range_id))
-            };
-            ranges.push(match reuse {
-                Some(arc) => arc,
-                None => Arc::new(LazyRange::from_payload(payload, counter.clone())?),
-            });
+                .read(b, |buf| -> Result<Arc<LazyRange>, StoreError> {
+                    let payload = block::range_bytes(buf, b, s)?;
+                    let range_id = RangeHeader::decode(payload)?.range_id;
+                    let shared = if self.mvcc_dirty.contains(&range_id) {
+                        None
+                    } else {
+                        prev.as_ref().and_then(|p| p.range_arc(range_id))
+                    };
+                    match shared {
+                        Some(range) => Ok(range),
+                        None => Ok(Arc::new(LazyRange::from_payload(
+                            payload.to_vec(),
+                            counter.clone(),
+                        )?)),
+                    }
+                })??;
+            ranges.push(range);
             cur = self.next_range_pos(b, s)?;
         }
         self.epochs.publish(lsn, ranges);
-        // A direct publish reflects the full current chain, superseding any
-        // delta a concurrent committer may have queued below this LSN.
-        self.publisher.note_direct_publish(lsn);
         self.mvcc_dirty.clear();
         Ok(())
-    }
-
-    /// The store's commit combiner (see [`XmlStore::commit_nopublish`]).
-    pub fn publisher(&self) -> Arc<Publisher> {
-        self.publisher.clone()
-    }
-
-    /// The store's write-partition map, shared with the dispatch layer.
-    pub fn partition_map(&self) -> Arc<PartitionMap> {
-        self.partitions.clone()
     }
 
     /// Group-commit activity (fsync batching behind [`XmlStore::commit`]);
@@ -1550,18 +1477,6 @@ impl XmlStore {
             new_ranges.push(right);
         }
 
-        // Partition map upkeep: ranges born inside an existing range stay in
-        // its partition (a writer latching that partition never creates
-        // ranges outside it); document-end appends spread round-robin.
-        for r in &new_ranges {
-            match target {
-                Some((range_id, _)) => self.partitions.inherit(range_id, r.header.range_id),
-                None => {
-                    self.partitions.of(r.header.range_id);
-                }
-            }
-        }
-
         self.place_ranges(block_page, insert_slot, &new_ranges)?;
 
         // Index the new ranges (and the split-off right half).
@@ -1743,7 +1658,6 @@ impl XmlStore {
                 block::remove_range(buf, block_page, slot).map(|_| ())
             })??;
             self.range_dir.remove(&header.range_id);
-            self.partitions.remove(header.range_id);
             if self.block_range_count(block_page)? == 0 {
                 self.unlink_block(block_page)?;
             }
@@ -1791,7 +1705,6 @@ impl XmlStore {
         let left = RangeData::new(header.range_id, header.start_id, prefix);
         let right_id = self.next_range_id;
         self.next_range_id += 1;
-        self.partitions.inherit(header.range_id, right_id);
         let right = RangeData::new(right_id, suffix_start, suffix);
         SharedStats::bump(&self.stats.range_splits);
         let left_payload = left.encode();
@@ -2191,6 +2104,77 @@ mod tests {
         let delta = s.stats().wal_records - after_first;
         assert!(delta <= 2, "idle commit re-logged {delta} records");
         drop(s);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The single publish routine, through every caller: one new epoch per
+    /// build / commit / flush / open, clean ranges shared by `Arc` with the
+    /// previous epoch, and a range dirtied then merged away in the same
+    /// batch simply absent from the published chain.
+    #[test]
+    fn every_publish_is_one_epoch_sharing_clean_ranges() {
+        use crate::view::ReadView;
+        let dir = std::env::temp_dir().join(format!("axs-core-publish-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // Granular policy: every small insert becomes its own range.
+        let mut s = StoreBuilder::new()
+            .directory(&dir)
+            .policy(IndexingPolicy::RangeOnly {
+                target_range_bytes: 64,
+            })
+            .build()
+            .unwrap();
+        let epochs = s.epoch_registry();
+        assert_eq!(epochs.stats().current_epoch, 1, "build publishes epoch 1");
+        let child = |i: usize| {
+            vec![
+                Token::begin_element("c"),
+                Token::text(format!("{i}")),
+                Token::EndElement,
+            ]
+        };
+        s.bulk_insert(vec![Token::begin_element("root"), Token::EndElement])
+            .unwrap();
+        let kids: Vec<NodeId> = (0..6)
+            .map(|i| s.insert_into_last(NodeId(1), child(i)).unwrap().start)
+            .collect();
+        s.commit().unwrap().unwrap().wait().unwrap();
+        assert_eq!(epochs.stats().current_epoch, 2, "one epoch per commit");
+        let range_of = |s: &XmlStore, id: NodeId| s.locate_range(id).unwrap().unwrap().1;
+        let clean = range_of(&s, kids[0]);
+        let shared = epochs.current().unwrap().range_arc(clean).unwrap();
+
+        // A commit that dirties another range shares the clean one.
+        s.insert_into_last(NodeId(1), child(6)).unwrap();
+        s.commit().unwrap().unwrap().wait().unwrap();
+        let snap = epochs.current().unwrap();
+        assert_eq!(snap.epoch(), 3);
+        assert!(Arc::ptr_eq(&snap.range_arc(clean).unwrap(), &shared));
+        assert_eq!(snap.read_all().unwrap(), s.read_all().unwrap());
+
+        // So does a flush.
+        s.flush().unwrap();
+        let snap = epochs.current().unwrap();
+        assert_eq!(snap.epoch(), 4, "one epoch per flush");
+        assert!(Arc::ptr_eq(&snap.range_arc(clean).unwrap(), &shared));
+
+        // Dirty a range, then merge it away before the commit.
+        let doomed = range_of(&s, kids[3]);
+        s.insert_into_last(kids[3], child(7)).unwrap();
+        s.compact(8192).unwrap();
+        assert!(!s.range_dir.contains_key(&doomed), "compaction merged it");
+        s.commit().unwrap().unwrap().wait().unwrap();
+        let snap = epochs.current().unwrap();
+        assert_eq!(snap.epoch(), 5);
+        assert!(snap.range_arc(doomed).is_none());
+        assert_eq!(snap.range_count(), s.range_count());
+        assert_eq!(snap.read_all().unwrap(), s.read_all().unwrap());
+        drop(snap);
+        drop(s);
+
+        let reopened = StoreBuilder::new().directory(&dir).open().unwrap();
+        assert_eq!(reopened.mvcc_stats().current_epoch, 1, "open publishes one");
+        drop(reopened);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -15,11 +15,13 @@
 //! store automatically, so a whole-store scanner (`S` on the store) blocks
 //! range writers while two writers in different blocks proceed in parallel.
 //!
-//! The `axs-core` store itself ships with a coarse reader-writer wrapper
-//! (`ConcurrentStore`); this manager is the protocol layer a finer-grained
-//! execution engine would plug in — tested standalone, including under
-//! thread stress, and demonstrated coordinating range-level access in the
-//! crate's integration tests.
+//! This manager is the *logical* arbiter of the write path: `axs-server`
+//! takes a strict-2PL X lock here before a write touches the store, and
+//! holds it until the write's group fsync returns. Physical exclusion is
+//! the store's own reader-writer guard (the server's per-store `RwLock`,
+//! or `axs-core`'s `ConcurrentStore` for embedded callers) and nothing
+//! else — see DESIGN.md §5d. The manager is also tested standalone,
+//! including under thread stress, in the crate's integration tests.
 
 pub mod manager;
 pub mod modes;

@@ -370,32 +370,6 @@ impl LockManager {
         out
     }
 
-    /// The write footprint `tx` has been granted, for mapping onto store
-    /// partitions: `None` means an exclusive lock at store granularity
-    /// (the writer owns everything — every partition), `Some(range_ids)`
-    /// lists the stable range ids of its granted X subtrees. A
-    /// block-granular X maps through that block's ranges, so callers get
-    /// ids either way; an empty `Some` means `tx` holds no exclusive lock.
-    pub fn exclusive_footprint(&self, tx: TxId) -> Option<Vec<u64>> {
-        let mut ranges = Vec::new();
-        for (res, mode) in self.held_by(tx) {
-            if mode != LockMode::X {
-                continue;
-            }
-            match res {
-                Resource::Store => return None,
-                // Block-granular X grants are not produced by the current
-                // executor (it locks ranges or the whole store), but a
-                // future caller holding one writes anywhere in the block —
-                // treat it like a store-wide footprint rather than guess
-                // the block's range population here.
-                Resource::Block(_) => return None,
-                Resource::Range { range, .. } => ranges.push(range),
-            }
-        }
-        Some(ranges)
-    }
-
     /// Total number of (resource, tx) lock grants (for tests).
     pub fn grant_count(&self) -> usize {
         let inner = self.inner.lock();
@@ -424,30 +398,6 @@ mod tests {
         assert!(held.contains(&(range(1, 7), X)));
         mgr.unlock_all(tx);
         assert_eq!(mgr.grant_count(), 0);
-    }
-
-    #[test]
-    fn exclusive_footprint_maps_granted_subtrees() {
-        let mgr = LockManager::new();
-        let tx = mgr.begin();
-        mgr.lock(tx, range(1, 7), X).unwrap();
-        mgr.lock(tx, range(2, 9), X).unwrap();
-        let mut ranges = mgr.exclusive_footprint(tx).expect("range-granular");
-        ranges.sort_unstable();
-        assert_eq!(ranges, vec![7, 9]);
-        mgr.unlock_all(tx);
-
-        // A store-wide X means the footprint is everything.
-        let all = mgr.begin();
-        mgr.lock(all, Resource::Store, X).unwrap();
-        assert_eq!(mgr.exclusive_footprint(all), None);
-        mgr.unlock_all(all);
-
-        // A reader has an empty (but bounded) footprint.
-        let rd = mgr.begin();
-        mgr.lock(rd, range(1, 7), S).unwrap();
-        assert_eq!(mgr.exclusive_footprint(rd), Some(Vec::new()));
-        mgr.unlock_all(rd);
     }
 
     #[test]

@@ -419,9 +419,6 @@ pub struct GlobalMetrics {
     pub execute_us: Histogram,
     /// Commit-build time under the exclusive store lock, µs.
     pub commit_us: Histogram,
-    /// Partition-latch acquisition time for writers, µs (near zero when
-    /// writers land on disjoint partitions; grows under conflicts).
-    pub partition_wait_us: Histogram,
 }
 
 impl GlobalMetrics {
@@ -444,7 +441,7 @@ impl GlobalMetrics {
     }
 
     /// Every histogram with its stable series name, for exposition.
-    pub fn named(&self) -> [(&'static str, &Histogram); 13] {
+    pub fn named(&self) -> [(&'static str, &Histogram); 12] {
         [
             ("queue_wait_us", &self.queue_wait_us),
             ("lock_wait_us", &self.lock_wait_us),
@@ -458,7 +455,6 @@ impl GlobalMetrics {
             ("group_commit_wait_us", &self.group_commit_wait_us),
             ("execute_us", &self.execute_us),
             ("commit_us", &self.commit_us),
-            ("partition_wait_us", &self.partition_wait_us),
         ]
     }
 }
@@ -476,7 +472,6 @@ static GLOBAL: GlobalMetrics = GlobalMetrics {
     group_commit_wait_us: Histogram::new(),
     execute_us: Histogram::new(),
     commit_us: Histogram::new(),
-    partition_wait_us: Histogram::new(),
 };
 
 /// The process-wide instrumentation histograms.

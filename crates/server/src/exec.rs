@@ -271,7 +271,7 @@ impl Engine {
             // defensive): fall through to the locked path.
         }
         match self.intent_of(req, opcode)? {
-            Intent::None => self.run(req, opcode, &slot, None),
+            Intent::None => self.run(req, opcode, &slot),
             intent => self.run_locked(req, opcode, intent, &slot),
         }
     }
@@ -539,19 +539,7 @@ impl Engine {
                 Intent::WriteNode(id) => self.lock_node(slot, tx, id, LockMode::X)?,
                 Intent::None => {}
             }
-            // Map the write's *granted* X footprint onto store partitions
-            // (grants are stable for the rest of the transaction under
-            // strict 2PL, so the mapping cannot go stale). An empty list
-            // means every partition — the whole-store write case.
-            let write_partitions = match intent {
-                Intent::WriteStore => Some(Vec::new()),
-                Intent::WriteNode(_) => Some(match slot.locks.exclusive_footprint(tx) {
-                    None => Vec::new(),
-                    Some(ranges) => ranges.iter().map(|&r| slot.partitions.of(r)).collect(),
-                }),
-                _ => None,
-            };
-            self.run(req, opcode, slot, write_partitions)
+            self.run(req, opcode, slot)
         })();
         slot.locks.unlock_all(tx);
         result
@@ -569,18 +557,19 @@ impl Engine {
         id: NodeId,
         mode: LockMode,
     ) -> Result<(), ExecError> {
+        // Without a range to lock, the whole store is locked in the same
+        // access class the caller asked for.
+        let store_mode = if mode == LockMode::S {
+            LockMode::S
+        } else {
+            LockMode::X
+        };
         // Bounded retries: under heavy splitting the mapping may keep
         // moving; degrade to a whole-store lock rather than live-lock.
         for _ in 0..4 {
             let located = slot.store.read().locate_range(id)?;
             let Some((block, range)) = located else {
-                let store_mode = if mode == LockMode::S {
-                    LockMode::S
-                } else {
-                    LockMode::X
-                };
-                slot.locks.lock(tx, Resource::Store, store_mode)?;
-                return Ok(());
+                break;
             };
             slot.locks
                 .lock(tx, Resource::Range { block, range }, mode)?;
@@ -590,35 +579,18 @@ impl Engine {
             // Mapping moved while we waited; drop and retry from scratch.
             slot.locks.unlock_all(tx);
         }
-        slot.locks.lock(
-            tx,
-            Resource::Store,
-            if mode == LockMode::S {
-                LockMode::S
-            } else {
-                LockMode::X
-            },
-        )?;
+        slot.locks.lock(tx, Resource::Store, store_mode)?;
         Ok(())
     }
 
     /// Executes the opcode body. Lock acquisition already happened (or was
     /// deliberately skipped for lock-free opcodes). Read opcodes run under
-    /// shared physical access. Write opcodes run the partitioned pipeline:
-    /// parse before any physical access, latch only the partitions the
-    /// granted X-subtrees map onto (`write_partitions`, empty = all),
-    /// mutate + seal the WAL batch under the short exclusive section, then
-    /// release everything before merging the epoch publish and waiting on
-    /// the shared group fsync — so writers on disjoint partitions overlap
-    /// through parse, publish, and fsync, and only conflicting writers
-    /// queue end to end.
-    fn run(
-        &self,
-        req: &Frame,
-        opcode: OpCode,
-        slot: &StoreSlot,
-        write_partitions: Option<Vec<u32>>,
-    ) -> Result<Vec<Frame>, ExecError> {
+    /// shared physical access. Write opcodes parse before any physical
+    /// access, then mutate, seal the WAL batch and publish the epoch under
+    /// the store's write guard — the only physical arbiter — and wait on
+    /// the shared group fsync after dropping it, so the next writer mutates
+    /// while this one waits.
+    fn run(&self, req: &Frame, opcode: OpCode, slot: &StoreSlot) -> Result<Vec<Frame>, ExecError> {
         use OpCode::*;
         match opcode {
             Ping | Sleep => self.run_control(req, opcode),
@@ -633,36 +605,24 @@ impl Engine {
             }
             BulkLoad | InsertFirst | InsertLast | InsertBefore | InsertAfter | Delete | Replace
             | Flush | Compact => {
-                // Decode and parse the payload before touching any latch:
-                // XML parsing is the CPU-heavy part of small writes and
-                // needs no physical access at all.
+                // Decode and parse the payload before taking the store
+                // guard: XML parsing is the CPU-heavy part of small writes
+                // and needs no physical access at all.
                 let payload = Self::parse_write_payload(req, opcode)?;
-                let latch = slot
-                    .latches
-                    .acquire(write_partitions.as_deref().unwrap_or(&[]));
-                if latch.conflicted {
-                    ServerStats::bump(&self.stats.writes_conflicted);
-                }
                 let _in_flight = self.stats.write_enter();
                 let (frames, ticket) = {
                     let mut store = slot.store.write();
                     let frames = self.run_write(req, opcode, payload, &mut store)?;
                     // Flush is its own durability point; everything else
-                    // seals its batch here and publishes + waits below,
-                    // outside the lock.
+                    // commits here and waits below, outside the guard.
                     let ticket = if opcode == Flush {
                         None
                     } else {
-                        store.commit_nopublish()?
+                        store.commit()?
                     };
                     (frames, ticket)
                 };
-                // Store lock released; release the partition latches with
-                // it so the next writer mutates while this one publishes
-                // and waits for the batched fsync.
-                drop(latch);
                 if let Some(ticket) = ticket {
-                    slot.publisher.ensure_published(ticket.lsn())?;
                     ServerStats::bump(&self.stats.commit_waits);
                     ticket.wait().map_err(StoreError::from)?;
                 }
@@ -1103,24 +1063,8 @@ impl Engine {
             // instead of eagerly at publish. Staying well below the range
             // count proves publishes don't decode what nobody reads.
             out.push(("mvcc.lazy_materialized".to_string(), m.lazy_materialized));
-            let (publishes, merged) = slot.publisher.stats();
-            out.push(("mvcc.publishes".to_string(), publishes));
-            out.push(("mvcc.publishes_merged".to_string(), merged));
-        }
-        {
-            // Writer partitioning of this store: latch lanes, ranges
-            // mapped, and how often writers collided on a lane.
-            out.push((
-                "partition.lanes".to_string(),
-                u64::from(slot.partitions.partitions()),
-            ));
-            out.push((
-                "partition.ranges_assigned".to_string(),
-                slot.partitions.assigned() as u64,
-            ));
-            let (acquisitions, conflicts) = slot.latches.stats();
-            out.push(("partition.latch_acquisitions".to_string(), acquisitions));
-            out.push(("partition.latch_conflicts".to_string(), conflicts));
+            // Every publish is one epoch, so the count is the epoch number.
+            out.push(("mvcc.publishes".to_string(), m.current_epoch));
         }
         let locks = slot.locks.stats();
         out.push(("lock.acquisitions".to_string(), locks.acquisitions));

@@ -492,9 +492,6 @@ mod tests {
         );
         assert!(text.contains("axs_lookup_duration_us"), "{text}");
         assert!(text.contains("axs_queue_wait_us"), "{text}");
-        // Writer-concurrency satellite: the per-partition latch-wait
-        // histogram must ride the same process-wide exposition.
-        assert!(text.contains("axs_partition_wait_us"), "{text}");
     }
 
     #[test]

@@ -37,17 +37,16 @@ pub struct ServerStats {
     /// Write opcodes executed under exclusive store access.
     pub writes_exclusive: AtomicU64,
     /// Writes that entered execution while at least one other write was
-    /// already in flight on the same store — disjoint-partition overlap
-    /// made real (values above 0 prove writers genuinely run in parallel
-    /// through parse/publish/fsync).
+    /// already in flight on the same server. Mutation itself is serialized
+    /// by the store's write guard, so values above 0 mean writers overlap
+    /// where they can: one queues on the guard or mutates while another
+    /// waits on the group fsync.
     pub writes_parallel: AtomicU64,
-    /// Writes whose partition latches were already held on arrival: the
-    /// writer queued behind a conflicting writer instead of overlapping.
-    pub writes_conflicted: AtomicU64,
-    /// Write opcodes currently in flight (between partition-latch grant
-    /// and commit-publish completion).
+    /// Write opcodes currently in flight: parsed, and either queued on or
+    /// holding the store's write guard, or waiting on the group fsync.
     pub writes_in_flight: AtomicU64,
-    /// Most writes ever observed in flight at once.
+    /// Most writes ever observed in flight at once — values above 1 are
+    /// writers overlapping across the group-fsync wait.
     pub writes_max_in_flight: AtomicU64,
     /// Read opcodes currently holding shared access.
     pub reads_in_flight: AtomicU64,
@@ -99,7 +98,6 @@ impl ServerStats {
             ("server.reads_snapshot", read(&self.reads_snapshot)),
             ("server.writes_exclusive", read(&self.writes_exclusive)),
             ("server.writes_parallel", read(&self.writes_parallel)),
-            ("server.writes_conflicted", read(&self.writes_conflicted)),
             ("server.writes_in_flight", read(&self.writes_in_flight)),
             (
                 "server.writes_max_in_flight",
@@ -131,10 +129,11 @@ impl Drop for ReadGuard<'_> {
 }
 
 impl ServerStats {
-    /// Records a write entering execution (its partition latches granted),
-    /// maintaining the in-flight gauge, its high-water mark, and
-    /// `writes_parallel` (bumped when another write was already in
-    /// flight). The guard decrements the gauge on drop, panic included.
+    /// Records a write entering execution (payload parsed, about to take
+    /// the store's write guard), maintaining the in-flight gauge, its
+    /// high-water mark, and `writes_parallel` (bumped when another write
+    /// was already in flight). The guard decrements the gauge on drop,
+    /// panic included.
     #[must_use = "the guard's Drop records the write leaving execution"]
     pub fn write_enter(&self) -> WriteGuard<'_> {
         self.writes_exclusive.fetch_add(1, Ordering::Relaxed);

@@ -100,10 +100,15 @@ fn metrics_opcode_exposes_every_documented_series() {
     get(&entries, "obs.traces_retained");
     get(&entries, "obs.traces_dropped");
     get(&entries, "obs.slow_requests");
-    // Every documented MVCC and adaptive-decision counter must be
+    // Every documented MVCC, writer and adaptive-decision counter must be
     // present (and therefore in the Prometheus text too — counters map
     // dot-to-underscore mechanically).
     for series in [
+        "server.writes_parallel",
+        "server.writes_in_flight",
+        "server.writes_max_in_flight",
+        "mvcc.publishes",
+        "mvcc.lazy_materialized",
         "mvcc.current_epoch",
         "mvcc.epochs_live",
         "mvcc.oldest_pinned",

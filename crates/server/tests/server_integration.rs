@@ -44,6 +44,14 @@ fn loopback_full_surface() {
         .unwrap();
     assert!(start <= end && start > 0);
     assert_eq!(c.query("//order").unwrap().len(), 2);
+    // A path ending in an attribute step returns the attribute items.
+    let ids: Vec<String> = c
+        .query("/orders/order/@id")
+        .unwrap()
+        .into_iter()
+        .map(|m| m.xml)
+        .collect();
+    assert_eq!(ids, [r#"id="1""#, r#"id="2""#]);
 
     let stats = c.stats().unwrap();
     let get = |name: &str| {

@@ -40,7 +40,8 @@ impl SerializeOptions {
 /// Errors from serialization of malformed token sequences.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SerializeError {
-    /// An attribute token appeared outside an element start.
+    /// An attribute token appeared where neither an element start nor the
+    /// top of a result sequence can take it.
     MisplacedAttribute(usize),
     /// An end token with no matching begin token (or of the wrong kind).
     Underflow(usize),
@@ -249,13 +250,15 @@ impl StreamSerializer {
             },
             Token::BeginAttribute { name, value, .. } => {
                 match self.stack.last() {
-                    Some(Frame::OpenTag { .. }) => {}
+                    Some(Frame::OpenTag { .. }) => self.buf.push(' '),
+                    // An attribute item at the top of a result sequence (an
+                    // XPath ending in `/@id`) renders bare: `name="value"`.
+                    None => {}
                     Some(Frame::WithContent { .. }) => {
                         return Err(SerializeError::AttributeAfterContent(i))
                     }
                     _ => return Err(SerializeError::MisplacedAttribute(i)),
                 }
-                self.buf.push(' ');
                 name.write_lexical(&mut self.buf);
                 self.buf.push_str("=\"");
                 escape_attribute(value, &mut self.buf);
@@ -548,11 +551,22 @@ mod tests {
     }
 
     #[test]
-    fn error_attribute_outside_element() {
-        let tokens = vec![Token::begin_attribute("a", "1"), Token::EndAttribute];
+    fn top_level_attribute_item_renders_bare() {
+        let tokens = vec![Token::begin_attribute("id", "a<\"b"), Token::EndAttribute];
+        assert_eq!(compact(&tokens), r#"id="a&lt;&quot;b""#);
+    }
+
+    #[test]
+    fn error_attribute_directly_in_document() {
+        let tokens = vec![
+            Token::BeginDocument,
+            Token::begin_attribute("a", "1"),
+            Token::EndAttribute,
+            Token::EndDocument,
+        ];
         assert!(matches!(
             serialize(&tokens, &SerializeOptions::default()).unwrap_err(),
-            SerializeError::MisplacedAttribute(0)
+            SerializeError::MisplacedAttribute(1)
         ));
     }
 

@@ -360,13 +360,7 @@ mod tests {
                     &tokens[m.token_start..=m.token_end],
                     &SerializeOptions::default(),
                 )
-                .unwrap_or_else(|_| {
-                    // Bare attribute tokens are not serializable; show value.
-                    tokens[m.token_start]
-                        .string_value()
-                        .unwrap_or_default()
-                        .to_string()
-                })
+                .unwrap()
             })
             .collect()
     }
@@ -402,8 +396,11 @@ mod tests {
 
     #[test]
     fn attribute_axis() {
-        assert_eq!(run(DOC, "/orders/order/@id"), vec!["1", "2"]);
-        assert_eq!(run(DOC, "/orders/order[1]/@id"), vec!["1"]);
+        assert_eq!(
+            run(DOC, "/orders/order/@id"),
+            vec![r#"id="1""#, r#"id="2""#]
+        );
+        assert_eq!(run(DOC, "/orders/order[1]/@id"), vec![r#"id="1""#]);
     }
 
     #[test]
@@ -432,10 +429,10 @@ mod tests {
             run(DOC, "/orders/order[qty>5]/item"),
             vec!["<item>nut</item>"]
         );
-        assert_eq!(run(DOC, "/orders/order[qty<=5]/@id"), vec!["1"]);
+        assert_eq!(run(DOC, "/orders/order[qty<=5]/@id"), vec![r#"id="1""#]);
         assert_eq!(run(DOC, "//order[qty>=9]").len(), 1);
         assert_eq!(run(DOC, "//order[qty<1]").len(), 0);
-        assert_eq!(run(DOC, "//order[item!='nut']/@id"), vec!["1"]);
+        assert_eq!(run(DOC, "//order[item!='nut']/@id"), vec![r#"id="1""#]);
         // Numeric equality tolerates lexical differences.
         assert_eq!(run("<a><n>05</n></a>", "/a[n=5]").len(), 1);
         // Non-numeric values never satisfy ordering comparisons.
@@ -476,7 +473,10 @@ mod tests {
 
     #[test]
     fn parent_axis() {
-        assert_eq!(run(DOC, "//qty/parent::order/@id"), vec!["1", "2"]);
+        assert_eq!(
+            run(DOC, "//qty/parent::order/@id"),
+            vec![r#"id="1""#, r#"id="2""#]
+        );
         assert_eq!(run(DOC, "//item/..").len(), 2);
         assert_eq!(run(DOC, "/orders/..").len(), 0, "roots have no parent");
     }
@@ -488,7 +488,7 @@ mod tests {
             vec!["<item>nut</item>"]
         );
         assert_eq!(run(DOC, "/orders/missing[last()]").len(), 0);
-        assert_eq!(run(DOC, "//order[last()]/@id"), vec!["2"]);
+        assert_eq!(run(DOC, "//order[last()]/@id"), vec![r#"id="2""#]);
     }
 
     #[test]

@@ -409,11 +409,11 @@ fn snapshot_readers_pinned_at_crash_points_stay_frozen() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Multi-writer crash matrix (writer-concurrency tentpole): several
-/// writers commit concurrently on *disjoint subtrees* through the
-/// partitioned pipeline (`commit_nopublish` under the lock, merged epoch
-/// publish + group-fsync wait outside it), then the WAL is torn at every
-/// sampled byte length. Each commit wraps TWO sibling elements, so
+/// Multi-writer crash matrix: several writers commit concurrently on
+/// *disjoint subtrees* through the one write path
+/// (`ConcurrentStore::with_write_durable`: mutate, seal and publish under
+/// the store guard, group-fsync wait outside it), then the WAL is torn at
+/// every sampled byte length. Each commit wraps TWO sibling elements, so
 /// recovery must honor three properties at every tear point:
 ///
 /// - **all-or-nothing per commit group**: a commit's pair is either fully
@@ -448,9 +448,8 @@ fn multi_writer_crash_matrix_recovers_per_writer_prefixes() {
     store.flush().unwrap();
     let baseline_wal = std::fs::metadata(dir.join("wal.log")).unwrap().len();
 
-    // Concurrent phase: every writer commits on its own subtree through
-    // the pipelined path, racing the others through parse-free mutation,
-    // merged publish, and the shared fsync batcher.
+    // Concurrent phase: every writer commits on its own subtree, racing
+    // the others for the store guard and sharing the fsync batcher.
     let store = ConcurrentStore::new(store);
     let barrier = std::sync::Barrier::new(WRITERS);
     std::thread::scope(|scope| {
@@ -467,7 +466,7 @@ fn multi_writer_crash_matrix_recovers_per_writer_prefixes() {
                     )
                     .unwrap();
                     store
-                        .with_write_pipelined(|s| s.insert_into_last(subtree, frag))
+                        .with_write_durable(|s| s.insert_into_last(subtree, frag))
                         .unwrap()
                         .unwrap();
                 }

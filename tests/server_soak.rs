@@ -37,13 +37,13 @@ fn retry<T>(mut op: impl FnMut() -> Result<T, ClientError>) -> T {
     }
 }
 
-/// Disjoint-writer soak (writer-concurrency tentpole): every client is a
-/// writer pinned to its own subtree, hammering the partitioned write path
-/// for the full soak window with no readers to dilute contention. Beyond
-/// shadow-store equivalence, the writer-concurrency counters must prove
-/// the partitioned pipeline actually engaged: writes overlapped in flight
-/// or queued on a partition lane, every write took its latches, commits
-/// published through the merged-epoch publisher, and the final scan
+/// Disjoint-writer soak: every client is a writer pinned to its own
+/// subtree, hammering the write path for the full soak window. Each writer
+/// reads its insert back the moment it is acknowledged: the read pins a
+/// snapshot *after* the ack, so with six writers committing concurrently
+/// every acknowledged write must already be in the published epoch.
+/// Beyond that and shadow-store equivalence, the counters must prove the
+/// writers overlapped across the group-fsync wait and the final scan
 /// materialized ranges lazily.
 #[test]
 fn soak_disjoint_writers_overlap_and_match_shadow() {
@@ -83,7 +83,13 @@ fn soak_disjoint_writers_overlap_and_match_shadow() {
                 c.set_timeout(Some(Duration::from_secs(30))).unwrap();
                 let mut landed = 0usize;
                 while Instant::now() < deadline && landed < MAX_INSERTS_PER_WRITER {
-                    retry(|| c.insert_last(subtree, &format!(r#"<d t="{t}" j="{landed}"/>"#)));
+                    let xml = format!(r#"<d t="{t}" j="{landed}"/>"#);
+                    let (id, _) = retry(|| c.insert_last(subtree, &xml));
+                    assert_eq!(
+                        retry(|| c.read_node(id)),
+                        xml,
+                        "acknowledged write missing from a snapshot pinned after its ack"
+                    );
                     landed += 1;
                 }
                 landed
@@ -130,24 +136,21 @@ fn soak_disjoint_writers_overlap_and_match_shadow() {
     };
     let total: u64 = insert_counts.iter().map(|&n| n as u64).sum();
     assert!(get("server.writes_exclusive") >= total);
-    // With this many writers racing, writes must either overlap in flight
-    // (disjoint partitions) or queue on a shared lane — a zero on both
-    // would mean the write path silently re-serialized end to end.
+    // With this many writers racing, one must enter while another waits on
+    // the group fsync — zero would mean the write path silently serialized
+    // end to end, fsync wait included.
     assert!(
-        get("server.writes_parallel") + get("server.writes_conflicted") > 0,
-        "no write ever overlapped or conflicted: parallel {} conflicted {}",
-        get("server.writes_parallel"),
-        get("server.writes_conflicted"),
+        get("server.writes_parallel") > 0,
+        "no write ever overlapped another"
     );
     assert_eq!(get("server.writes_in_flight"), 0, "gauge must drain");
-    assert!(get("partition.lanes") > 0);
     assert!(
-        get("partition.latch_acquisitions") >= total,
-        "every write acquires its partition latches"
+        get("server.reads_snapshot") >= total,
+        "the read-backs must have been snapshot reads"
     );
     assert!(
-        get("mvcc.publishes") > 0,
-        "commits publish through the merged-epoch publisher"
+        get("mvcc.publishes") >= total,
+        "every commit publishes an epoch"
     );
     assert!(
         get("mvcc.lazy_materialized") > 0,
