@@ -10,16 +10,11 @@
 //! ```
 
 use axs_bench::{
-    bench_insert, bench_random_reads, bench_seq_scan, build_store, Approach, Measurement,
+    bench_insert, bench_random_reads, bench_seq_scan, insert_feed, Approach, Measurement,
     Table5Config,
 };
-use axs_core::{IndexingPolicy, XmlStore};
+use axs_core::IndexingPolicy;
 use axs_index::{PartialIndexConfig, PartialIndexStats};
-use axs_workload::docgen;
-use axs_xdm::{codec, NodeId, Token};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::time::Instant;
 
 fn main() {
     axs_bench::cleanup_temp();
@@ -109,8 +104,7 @@ fn sweep_range_size(cfg: &Table5Config) {
         let policy = IndexingPolicy::RangeOnly {
             target_range_bytes: target,
         };
-        let store = seeded_store(policy, cfg, "sweep-range");
-        let run = run_insert_then_reads(store, cfg);
+        let run = run_insert_then_reads(policy, cfg, "sweep-range");
         println!(
             "{:>10} {:>9} {:>12} {:>13.2} {:>17.2}",
             target,
@@ -137,8 +131,7 @@ fn sweep_partial_capacity(cfg: &Table5Config) {
             target_range_bytes: 8 * 1024,
             partial: PartialIndexConfig { capacity },
         };
-        let store = seeded_store(policy, cfg, "sweep-partial");
-        let run = run_insert_then_reads(store, cfg);
+        let run = run_insert_then_reads(policy, cfg, "sweep-partial");
         println!(
             "{:>10} {:>17.2} {:>10.3} {:>11} {:>11}",
             capacity,
@@ -153,19 +146,6 @@ fn sweep_partial_capacity(cfg: &Table5Config) {
     println!("       working set fits, then flatten (cache-like behaviour, §5).");
 }
 
-fn seeded_store(policy: IndexingPolicy, cfg: &Table5Config, tag: &str) -> XmlStore {
-    let mut store = build_store(policy, cfg, tag);
-    store
-        .bulk_insert(vec![
-            Token::begin_element("purchase-orders"),
-            Token::begin_element("day"),
-            Token::EndElement,
-            Token::EndElement,
-        ])
-        .expect("seed root");
-    store
-}
-
 struct SweepRun {
     insert: Measurement,
     reads: Measurement,
@@ -174,37 +154,9 @@ struct SweepRun {
     partial: PartialIndexStats,
 }
 
-/// Appends the configured orders into `store` (daily-batch feed, as in the
-/// Table 5 insert benchmark), then runs the random reads.
-fn run_insert_then_reads(mut store: XmlStore, cfg: &Table5Config) -> SweepRun {
-    let mut current_day = NodeId(2);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let orders: Vec<Vec<Token>> = (0..cfg.orders)
-        .map(|i| docgen::purchase_order(&mut rng, i as u64 + 1))
-        .collect();
-    let bytes: u64 = orders
-        .iter()
-        .flat_map(|o| o.iter())
-        .map(|t| codec::encoded_len(t) as u64)
-        .sum();
-    let started = Instant::now();
-    for (i, order) in orders.into_iter().enumerate() {
-        if i > 0 && i % axs_bench::harness::ORDERS_PER_DAY == 0 {
-            let day = store
-                .insert_after(
-                    current_day,
-                    vec![Token::begin_element("day"), Token::EndElement],
-                )
-                .expect("new day");
-            current_day = day.start;
-        }
-        store.insert_into_last(current_day, order).expect("insert");
-    }
-    let insert = Measurement {
-        bytes,
-        ops: cfg.orders as u64,
-        elapsed: started.elapsed(),
-    };
+/// Runs the Table 5 insert feed under `policy`, then the random reads.
+fn run_insert_then_reads(policy: IndexingPolicy, cfg: &Table5Config, tag: &str) -> SweepRun {
+    let (insert, mut store) = insert_feed(policy, cfg, tag);
     let index_entries = store.range_index_entries().expect("entries").len() as u64;
     let ranges = store.range_count();
     store.reset_stats();

@@ -1,5 +1,5 @@
-//! Scenario runners shared by the `table5` binary and the criterion
-//! benches.
+//! Scenario runners shared by the `table5` binary and `axsbench`'s
+//! in-process Table 5 grid.
 
 use axs_core::{IndexingPolicy, StoreBuilder, XmlStore};
 use axs_index::PartialIndexConfig;
@@ -45,7 +45,7 @@ impl Approach {
         }
     }
 
-    /// Short identifier for bench names.
+    /// Short identifier; names the store directory.
     pub fn id(self) -> &'static str {
         match self {
             Approach::FullIndex => "full",
@@ -129,11 +129,6 @@ impl Measurement {
     pub fn kb_per_sec(&self) -> f64 {
         (self.bytes as f64 / 1024.0) / self.elapsed.as_secs_f64().max(1e-9)
     }
-
-    /// Operations per second.
-    pub fn ops_per_sec(&self) -> f64 {
-        self.ops as f64 / self.elapsed.as_secs_f64().max(1e-9)
-    }
 }
 
 /// Parent directory for all benchmark stores; [`cleanup_temp`] removes it.
@@ -142,8 +137,7 @@ fn temp_parent() -> PathBuf {
 }
 
 /// Removes every store directory previous benchmark runs left behind.
-/// Call once at harness start (the `table5` binary and the criterion
-/// benches do).
+/// Call once at harness start (the `table5` binary and `axsbench` do).
 pub fn cleanup_temp() {
     let _ = std::fs::remove_dir_all(temp_parent());
 }
@@ -160,8 +154,8 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Builds an empty store for an approach (file-backed when configured).
-pub fn build_store(policy: IndexingPolicy, cfg: &Table5Config, tag: &str) -> XmlStore {
+/// Builds an empty store for a policy (file-backed when configured).
+fn build_store(policy: IndexingPolicy, cfg: &Table5Config, tag: &str) -> XmlStore {
     let mut b = StoreBuilder::new().policy(policy).storage(StorageConfig {
         page_size: cfg.page_size,
         pool_frames: cfg.pool_frames,
@@ -176,27 +170,30 @@ fn encoded_size(tokens: &[Token]) -> u64 {
     tokens.iter().map(|t| codec::encoded_len(t) as u64).sum()
 }
 
-/// Total token bytes the insert workload writes (for context in reports).
-pub fn insert_workload_bytes(cfg: &Table5Config) -> u64 {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    (0..cfg.orders)
-        .map(|i| encoded_size(&docgen::purchase_order(&mut rng, i as u64 + 1)))
-        .sum()
-}
-
 /// Orders appended under one `<day>` batch before a new day begins.
-pub const ORDERS_PER_DAY: usize = 10;
+const ORDERS_PER_DAY: usize = 10;
 
 /// Insert micro benchmark: the purchase-order feed of §4.1 — each order is
 /// inserted with `insertIntoLast` into the current `<day>` batch element; a
-/// fresh day is opened with `insertAfter` every [`ORDERS_PER_DAY`] orders.
+/// fresh day is opened with `insertAfter` every `ORDERS_PER_DAY` (10) orders.
 /// "A typical usage pattern will access the data based on semantic
 /// constraints, such as: insert a `<purchase-order>` element as the last
 /// child" — and repeating the operation on the same target is exactly what
 /// the Partial Index memoizes (§5). Returns the measurement and the loaded
 /// store (reused by the read benchmarks).
 pub fn bench_insert(approach: Approach, cfg: &Table5Config) -> (Measurement, XmlStore) {
-    let mut store = build_store(approach.policy(), cfg, approach.id());
+    insert_feed(approach.policy(), cfg, approach.id())
+}
+
+/// The [`bench_insert`] feed into a fresh store under any `policy` (the
+/// `table5` sweeps vary the range size and partial-index capacity);
+/// `tag` names the store directory.
+pub fn insert_feed(
+    policy: IndexingPolicy,
+    cfg: &Table5Config,
+    tag: &str,
+) -> (Measurement, XmlStore) {
+    let mut store = build_store(policy, cfg, tag);
     store
         .bulk_insert(vec![
             Token::begin_element("purchase-orders"),
@@ -357,6 +354,33 @@ mod tests {
             stats.hits > stats.misses,
             "working-set reads must hit the partial index: {stats:?}"
         );
+    }
+
+    #[test]
+    fn sweeps_vary_range_count_and_partial_hits() {
+        // The `table5` A1/A2 sweep path: feed under a policy, reset, read.
+        let cfg = tiny();
+        let feed = |policy| {
+            let (_, mut store) = insert_feed(policy, &cfg, "test-sweep");
+            store.reset_stats();
+            bench_random_reads(&mut store, &cfg);
+            store.check_invariants().unwrap();
+            store
+        };
+        let ranges = |target_range_bytes| {
+            feed(IndexingPolicy::RangeOnly { target_range_bytes }).range_count()
+        };
+        assert!(ranges(128) > ranges(8192));
+        let partial = |capacity| {
+            feed(IndexingPolicy::RangePlusPartial {
+                target_range_bytes: 8 * 1024,
+                partial: PartialIndexConfig { capacity },
+            })
+            .partial_stats()
+        };
+        assert_eq!(partial(0).hits, 0);
+        let roomy = partial(1024);
+        assert!(roomy.hits > 0 && roomy.evictions == 0, "{roomy:?}");
     }
 
     #[test]

@@ -7,12 +7,13 @@
 //! three *micro benchmarks* are its columns (insert, sequential scan,
 //! random reads), reported in KB/s of token data like the paper.
 //!
-//! Run `cargo run -p axs-bench --release --bin table5` for the table, or
-//! `cargo bench` for the criterion benchmarks.
+//! Run `cargo run -p axs-bench --release --bin table5` for the table and
+//! its A1/A2 sweeps; `axsbench` imports this library for its in-process
+//! `core.t5.*` grid.
 
 pub mod harness;
 
 pub use harness::{
-    bench_insert, bench_random_reads, bench_seq_scan, build_store, cleanup_temp,
-    insert_workload_bytes, Approach, Measurement, Table5Config,
+    bench_insert, bench_random_reads, bench_seq_scan, cleanup_temp, insert_feed, Approach,
+    Measurement, Table5Config,
 };

@@ -51,8 +51,8 @@ pub struct ServerConfig {
     /// store's current epoch at dispatch and run lock-free against that
     /// frozen snapshot — readers never wait for writers or each other.
     /// Off forces every read through the hierarchical lock manager and the
-    /// store's reader-writer lock (the pre-MVCC behavior; the netbench A/B
-    /// baseline). Admin reads (`Stats`, `Report`, `Verify`, …) always take
+    /// store's reader-writer lock (the pre-MVCC behavior; `axsbench`'s
+    /// `table5-wire` runs this way). Admin reads (`Stats`, `Report`, `Verify`, …) always take
     /// the locked path: they inspect live store internals, not a snapshot.
     pub mvcc: bool,
 }
