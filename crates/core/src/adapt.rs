@@ -11,9 +11,10 @@
 //!
 //! Cost discipline matches the tracing crate: the per-kind counters are
 //! relaxed atomics and always bump (they feed the `adapt.*` stats), but
-//! the ring push — a mutex'd `VecDeque` write — is gated on the global
-//! tracing flag, so a server run with `--no-trace` pays one relaxed
-//! load + one relaxed increment per decision and never touches the ring.
+//! the ring push — a mutex'd `VecDeque` write — happens only while a
+//! trace is open on the deciding thread, so a server run with
+//! `--no-trace` pays one thread-local read + one relaxed increment per
+//! decision and never touches the ring (`Explain` opens its own trace).
 
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -159,7 +160,7 @@ impl AdaptLog {
     }
 
     /// Records one decision. The counter always bumps; the ring entry is
-    /// only written while tracing is enabled (see the module docs).
+    /// only written while a trace is open (see the module docs).
     pub fn record(&self, kind: AdaptEventKind, node: u64, a: u64, b: u64, reason: &'static str) {
         self.counter(kind).fetch_add(1, Ordering::Relaxed);
         if !axs_obs::enabled() {
@@ -222,10 +223,10 @@ impl Default for AdaptLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn counters_bump_even_with_tracing_off() {
-        axs_obs::set_enabled(false);
         let log = AdaptLog::new();
         log.record(AdaptEventKind::Admit, 1, 1, 8, "memoized-lookup");
         log.record(AdaptEventKind::Skip, 2, 0, 0, "index-disabled");
@@ -238,12 +239,12 @@ mod tests {
 
     #[test]
     fn ring_retains_and_orders_events() {
-        axs_obs::set_enabled(true);
+        axs_obs::trace_begin(1, 0, Arc::default());
         let log = AdaptLog::new();
         log.record(AdaptEventKind::Admit, 60, 1, 8, "memoized-lookup");
         log.record(AdaptEventKind::Evict, 7, 8, 8, "lru-pressure");
         log.record(AdaptEventKind::GrowPartial, 0, 16, 80, "read-heavy-window");
-        axs_obs::set_enabled(false);
+        axs_obs::trace_finish();
         let recent = log.recent(2);
         assert_eq!(recent.len(), 2);
         assert_eq!(recent[0].kind, AdaptEventKind::GrowPartial);
@@ -261,12 +262,12 @@ mod tests {
 
     #[test]
     fn ring_is_bounded() {
-        axs_obs::set_enabled(true);
+        axs_obs::trace_begin(1, 0, Arc::default());
         let log = AdaptLog::new();
         for i in 0..(ADAPT_LOG_CAPACITY as u64 + 50) {
             log.record(AdaptEventKind::Admit, i, i, 100, "memoized-lookup");
         }
-        axs_obs::set_enabled(false);
+        axs_obs::trace_finish();
         let recent = log.recent(usize::MAX);
         assert_eq!(recent.len(), ADAPT_LOG_CAPACITY);
         assert_eq!(recent[0].seq, ADAPT_LOG_CAPACITY as u64 + 50, "newest kept");

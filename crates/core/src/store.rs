@@ -356,7 +356,7 @@ pub struct XmlStore {
     /// readers can feed it observations without exclusive store access.
     adaptive: Option<Mutex<AdaptiveController>>,
     /// Decision log: admit/evict/skip/retune events with reasons, always-on
-    /// counters (`adapt.*`), ring entries gated on the tracing flag.
+    /// counters (`adapt.*`), ring entries only while a trace is open.
     decision_log: AdaptLog,
     /// Target encoded range size — atomic so adaptive decisions reached
     /// under shared access apply without a writer in between.

@@ -1,15 +1,15 @@
 //! `axs-obs`: structured observability for the adaptive store.
 //!
-//! Three pieces, all designed to cost one relaxed atomic load when
-//! observability is disabled:
+//! The pieces below cost one thread-local read per instrumentation point
+//! when no trace is open on the calling thread:
 //!
 //! * [`hist`] — log-bucketed (power-of-two) atomic latency histograms
 //!   with mergeable snapshots and clamped percentile math.
 //! * [`trace`] — per-request span traces: a thread-local context begun by
 //!   the server worker, fed by instrumentation points in the lock
 //!   manager, store and WAL, rendered as a span tree for the slow log.
-//!   Also home to the process-wide [`trace::GlobalMetrics`] histograms
-//!   every instrumentation point feeds.
+//!   The open trace carries its server's [`trace::LayerMetrics`]
+//!   histograms, which every instrumentation point feeds.
 //! * [`ring`] — a non-blocking most-recent-N buffer of finished traces.
 //! * [`recorder`] — the always-on flight recorder: a non-blocking ring of
 //!   compact request summaries fed on *every* request (tracing on or
@@ -32,7 +32,6 @@ pub use recorder::{
 };
 pub use ring::{TraceRing, TRACE_RING_CAPACITY};
 pub use trace::{
-    enabled, global, next_trace_id, point, probe, probe_start, set_enabled, span_enter,
-    trace_begin, trace_finish, Event, EventKind, FinishedTrace, GlobalMetrics, SpanGuard,
-    TRACE_EVENT_CAP,
+    enabled, next_trace_id, point, probe, probe_start, span_enter, trace_begin, trace_finish,
+    Event, EventKind, FinishedTrace, LayerMetrics, SpanGuard, TRACE_EVENT_CAP,
 };

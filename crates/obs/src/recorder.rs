@@ -9,9 +9,9 @@
 //! [`RequestSummary`] is a handful of plain words (no allocation), so
 //! recording costs an atomic increment, a `try_lock`, and a copy.
 //!
-//! The recorder is process-global (like [`crate::trace::GlobalMetrics`]):
-//! a panic hook has no server instance to ask, so post-mortem state must
-//! be reachable from a free function.
+//! The recorder is process-global (unlike the per-server
+//! [`crate::trace::LayerMetrics`]): a panic hook has no server instance
+//! to ask, so post-mortem state must be reachable from a free function.
 
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

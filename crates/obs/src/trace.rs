@@ -1,12 +1,14 @@
-//! Per-request tracing: a thread-local [`TraceCtx`] collects typed span
+//! Per-request tracing: a thread-local open trace collects typed span
 //! events while a request executes, then folds into a [`FinishedTrace`]
 //! that the server feeds to the slow-request log and the trace ring.
 //!
-//! The recording side is deliberately boring: one branch on the global
-//! enable flag, one thread-local borrow, one `Vec` push. Instrumented
-//! code in the lock manager, store and WAL never sees a context type —
-//! it calls the free functions here, which no-op (a single relaxed load)
-//! when tracing is disabled or no trace is active on this thread.
+//! The recording side is deliberately boring: one thread-local borrow,
+//! one `Vec` push, one histogram bump. Instrumented code in the lock
+//! manager, store and WAL never sees a context type — it calls the free
+//! functions here, which no-op (a single thread-local read) when no trace
+//! is open on this thread. There is no process-wide switch: a server
+//! records by opening a trace around each request, and the trace carries
+//! that server's [`LayerMetrics`].
 //!
 //! A request's events form a tree: [`span_enter`] returns a guard that
 //! deepens every event recorded until it drops, so the rendered trace
@@ -14,7 +16,8 @@
 
 use crate::hist::Histogram;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Hard cap on events per trace; a pathological request (e.g. a query
@@ -217,30 +220,42 @@ struct ActiveTrace {
     depth: u8,
     truncated: bool,
     events: Vec<Event>,
+    /// The opening server's histograms, fed by every timed event.
+    layers: Arc<LayerMetrics>,
+}
+
+impl ActiveTrace {
+    /// Appends one event at the current depth, `at` offset from the
+    /// trace start (saturating: a queue wait begins before the trace).
+    fn push(&mut self, kind: EventKind, at: Instant, dur_us: u64, a: u64, b: u64) {
+        if self.events.len() >= TRACE_EVENT_CAP {
+            self.truncated = true;
+            return;
+        }
+        self.events.push(Event {
+            kind,
+            depth: self.depth,
+            at_us: at.saturating_duration_since(self.started).as_micros() as u64,
+            dur_us,
+            a,
+            b,
+        });
+    }
 }
 
 thread_local! {
     static ACTIVE: RefCell<Option<ActiveTrace>> = const { RefCell::new(None) };
 }
 
-/// Process-wide switch. Off by default: a store embedded as a library
-/// records nothing until a server (or test) turns tracing on.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
 /// Trace-id allocator, shared by every server in the process so ids in
 /// interleaved logs stay unique.
 static NEXT_TRACE_ID: AtomicU64 = AtomicU64::new(1);
 
-/// Turns event recording on or off process-wide. The off state costs one
-/// relaxed load per instrumentation point.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// True when instrumentation points should record.
+/// True when instrumentation points should record: a trace is open on
+/// this thread. A store embedded as a library records nothing.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    ACTIVE.try_with(|a| a.borrow().is_some()).unwrap_or(false)
 }
 
 /// Allocates a fresh trace id (called at frame decode).
@@ -248,12 +263,10 @@ pub fn next_trace_id() -> u64 {
     NEXT_TRACE_ID.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Starts a trace on this thread. Any trace already active is discarded
-/// (a worker thread runs one request at a time).
-pub fn trace_begin(trace_id: u64, opcode: u8) {
-    if !enabled() {
-        return;
-    }
+/// Starts a trace on this thread whose timed events feed `layers`. Any
+/// trace already active is discarded (a worker thread runs one request
+/// at a time).
+pub fn trace_begin(trace_id: u64, opcode: u8, layers: Arc<LayerMetrics>) {
     ACTIVE.with(|a| {
         *a.borrow_mut() = Some(ActiveTrace {
             trace_id,
@@ -262,12 +275,13 @@ pub fn trace_begin(trace_id: u64, opcode: u8) {
             depth: 0,
             truncated: false,
             events: Vec::with_capacity(16),
+            layers,
         });
     });
 }
 
 /// Ends the active trace, returning it for histogram recording, the slow
-/// log and the ring. `None` when tracing is disabled or none was begun.
+/// log and the ring. `None` when none was begun.
 pub fn trace_finish() -> Option<FinishedTrace> {
     ACTIVE
         .with(|a| a.borrow_mut().take())
@@ -278,34 +292,6 @@ pub fn trace_finish() -> Option<FinishedTrace> {
             events: t.events,
             truncated: t.truncated,
         })
-}
-
-fn push_event(kind: EventKind, at_us: u64, dur_us: u64, a: u64, b: u64) {
-    ACTIVE.with(|cell| {
-        if let Some(t) = cell.borrow_mut().as_mut() {
-            if t.events.len() >= TRACE_EVENT_CAP {
-                t.truncated = true;
-                return;
-            }
-            let depth = t.depth;
-            t.events.push(Event {
-                kind,
-                depth,
-                at_us,
-                dur_us,
-                a,
-                b,
-            });
-        }
-    });
-}
-
-fn offset_us(of: Instant) -> u64 {
-    ACTIVE.with(|cell| {
-        cell.borrow()
-            .as_ref()
-            .map_or(0, |t| of.duration_since(t.started).as_micros() as u64)
-    })
 }
 
 /// The instant instrumented code should capture before timed work —
@@ -320,44 +306,47 @@ pub fn probe_start() -> Option<Instant> {
 }
 
 /// Records a timed leaf span begun at `start` (from [`probe_start`]) and
-/// feeds the kind's global histogram. No-op when `start` is `None`.
+/// feeds the kind's histogram in the open trace's [`LayerMetrics`].
+/// No-op when `start` is `None` or no trace is open.
 pub fn probe(kind: EventKind, start: Option<Instant>, a: u64, b: u64) {
     let Some(started) = start else {
         return;
     };
-    let dur = started.elapsed();
-    let dur_us = dur.as_micros() as u64;
-    if let Some(h) = global().histogram(kind) {
-        h.record(dur_us);
-    }
-    if kind == EventKind::LookupRangeScan {
-        global().range_scan_tokens.record(a);
-    }
-    push_event(kind, offset_us(started), dur_us, a, b);
+    let dur_us = started.elapsed().as_micros() as u64;
+    ACTIVE.with(|cell| {
+        if let Some(t) = cell.borrow_mut().as_mut() {
+            if let Some(h) = t.layers.histogram(kind) {
+                h.record(dur_us);
+            }
+            if kind == EventKind::LookupRangeScan {
+                t.layers.range_scan_tokens.record(a);
+            }
+            t.push(kind, started, dur_us, a, b);
+        }
+    });
 }
 
 /// Records an instantaneous event (no duration, no histogram).
 pub fn point(kind: EventKind, a: u64, b: u64) {
-    if !enabled() {
-        return;
-    }
-    let now = Instant::now();
-    push_event(kind, offset_us(now), 0, a, b);
+    ACTIVE.with(|cell| {
+        if let Some(t) = cell.borrow_mut().as_mut() {
+            t.push(kind, Instant::now(), 0, a, b);
+        }
+    });
 }
 
 /// Opens a nested span: events recorded until the guard drops sit one
 /// level deeper, and the span itself is recorded (with its duration and
 /// histogram) when the guard drops.
 pub fn span_enter(kind: EventKind, a: u64, b: u64) -> SpanGuard {
-    let active = enabled()
-        && ACTIVE.with(|cell| {
-            if let Some(t) = cell.borrow_mut().as_mut() {
-                t.depth = t.depth.saturating_add(1);
-                true
-            } else {
-                false
-            }
-        });
+    let active = ACTIVE.with(|cell| {
+        if let Some(t) = cell.borrow_mut().as_mut() {
+            t.depth = t.depth.saturating_add(1);
+            true
+        } else {
+            false
+        }
+    });
     SpanGuard {
         kind,
         a,
@@ -388,13 +377,13 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Global histograms fed by the instrumentation points — one per timed
-/// event kind, plus the range-scan token-count distribution. Process-wide
-/// (every store/server in the process shares them), which is the right
-/// scope for the embedded instrumentation in `core`, `lock` and
-/// `storage`: those layers have no server to hang per-instance state on.
+/// Histograms fed by the instrumentation points — one per timed event
+/// kind, plus the range-scan token-count distribution. Each server owns
+/// one set and hands it to every trace it opens, so the embedded
+/// instrumentation in `core`, `lock` and `storage` (which has no server
+/// to hang per-instance state on) records into the right server's set.
 #[derive(Debug, Default)]
-pub struct GlobalMetrics {
+pub struct LayerMetrics {
     /// Request time spent queued before a worker picked it up, µs.
     pub queue_wait_us: Histogram,
     /// Lock acquisition time (including blocking waits), µs.
@@ -421,7 +410,7 @@ pub struct GlobalMetrics {
     pub commit_us: Histogram,
 }
 
-impl GlobalMetrics {
+impl LayerMetrics {
     /// The histogram a timed event kind feeds, if any.
     pub fn histogram(&self, kind: EventKind) -> Option<&Histogram> {
         Some(match kind {
@@ -459,34 +448,13 @@ impl GlobalMetrics {
     }
 }
 
-static GLOBAL: GlobalMetrics = GlobalMetrics {
-    queue_wait_us: Histogram::new(),
-    lock_wait_us: Histogram::new(),
-    lookup_partial_us: Histogram::new(),
-    lookup_full_us: Histogram::new(),
-    lookup_range_scan_us: Histogram::new(),
-    range_scan_tokens: Histogram::new(),
-    range_probe_us: Histogram::new(),
-    scan_end_us: Histogram::new(),
-    wal_append_us: Histogram::new(),
-    group_commit_wait_us: Histogram::new(),
-    execute_us: Histogram::new(),
-    commit_us: Histogram::new(),
-};
-
-/// The process-wide instrumentation histograms.
-pub fn global() -> &'static GlobalMetrics {
-    &GLOBAL
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn disabled_records_nothing() {
-        set_enabled(false);
-        trace_begin(1, 0);
+    fn no_open_trace_records_nothing() {
+        assert!(!enabled());
         point(EventKind::PartialMiss, 7, 0);
         probe(EventKind::LockWait, probe_start(), 0, 0);
         assert!(trace_finish().is_none());
@@ -494,8 +462,8 @@ mod tests {
 
     #[test]
     fn span_tree_nests_and_renders() {
-        set_enabled(true);
-        trace_begin(42, 9);
+        let layers = Arc::new(LayerMetrics::default());
+        trace_begin(42, 9, layers.clone());
         probe(EventKind::QueueWait, probe_start(), 0, 0);
         {
             let _exec = span_enter(EventKind::Execute, 0, 0);
@@ -503,7 +471,9 @@ mod tests {
             probe(EventKind::LookupRangeScan, probe_start(), 17, 5);
         }
         let t = trace_finish().expect("trace active");
-        set_enabled(false);
+        assert!(!enabled());
+        assert_eq!(layers.execute_us.snapshot().count, 1);
+        assert_eq!(layers.range_scan_tokens.snapshot().sum, 17);
         assert_eq!(t.trace_id, 42);
         assert_eq!(t.opcode, 9);
         assert!(t.has(EventKind::Execute));
@@ -528,13 +498,11 @@ mod tests {
 
     #[test]
     fn event_cap_truncates() {
-        set_enabled(true);
-        trace_begin(1, 0);
+        trace_begin(1, 0, Arc::default());
         for i in 0..(TRACE_EVENT_CAP + 10) {
             point(EventKind::PartialMiss, i as u64, 0);
         }
         let t = trace_finish().unwrap();
-        set_enabled(false);
         assert_eq!(t.events.len(), TRACE_EVENT_CAP);
         assert!(t.truncated);
     }

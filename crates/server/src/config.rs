@@ -38,10 +38,10 @@ pub struct ServerConfig {
     /// slow-request log (stderr plus the in-process buffer exposed by
     /// [`crate::ServerHandle::slow_log`]). `None` disables the log.
     pub slow_request: Option<Duration>,
-    /// Per-request tracing and latency histograms. On by default: the
-    /// recording paths are branch-gated relaxed-atomic work, cheap enough
-    /// to leave on in production. Off reduces observability to the plain
-    /// `Stats` counters.
+    /// Per-request tracing: a trace around each request feeds this
+    /// server's layer histograms (`obs.*`, `path.*`) and trace ring. On by
+    /// default: cheap enough to leave on in production. Off, no trace is
+    /// opened and each instrumentation point costs one thread-local read.
     pub trace: bool,
     /// Catalog stores held open (resident) at once; the least-recently-
     /// used idle store is flushed and closed when one more must open.

@@ -322,10 +322,9 @@ impl Engine {
     /// telling the caller when a normal execution would have read a
     /// snapshot instead.
     ///
-    /// Tracing is force-enabled for the inner execution when the server
-    /// runs with `--no-trace` (and restored after); the flag is process-
-    /// wide, so concurrent requests may record a stray event during that
-    /// window — harmless, and the only way to explain on a gated server.
+    /// The inner execution runs under a trace of its own, fed into this
+    /// server's layer histograms, so `Explain` works the same on a
+    /// `--no-trace` server.
     fn run_explain(&self, req: &Frame, slot: &StoreSlot) -> Result<Vec<Frame>, ExecError> {
         let mut r = Reader::new(&req.payload);
         let kind = r.u8()?;
@@ -364,14 +363,11 @@ impl Engine {
         let log_seq = slot.store.read().decision_log().last_seq();
 
         // A dedicated trace for the inner execution. `trace_begin`
-        // discards the worker's trace of the Explain request itself; the
-        // worker's `trace_finish` then returns `None`, which the metrics
-        // layer already treats as an untraced request.
-        let was_enabled = axs_obs::enabled();
-        if !was_enabled {
-            axs_obs::set_enabled(true);
-        }
-        axs_obs::trace_begin(axs_obs::next_trace_id(), inner_op as u8);
+        // discards the worker's trace of the Explain request itself, if
+        // any; the worker's `trace_finish` then returns `None`, which the
+        // metrics layer already treats as an untraced request.
+        let layers = self.metrics.layers.clone();
+        axs_obs::trace_begin(axs_obs::next_trace_id(), inner_op as u8, layers);
         let result = {
             // The inner execution skips `dispatch_inner`, so give its
             // trace the same top-level execute span every request gets.
@@ -379,13 +375,8 @@ impl Engine {
             self.intent_of(&inner, inner_op)
                 .and_then(|intent| self.run_locked(&inner, inner_op, intent, slot))
         };
-        let trace = axs_obs::trace_finish();
-        if !was_enabled {
-            axs_obs::set_enabled(false);
-        }
+        let trace = axs_obs::trace_finish().expect("explain opened this trace");
         let frames = result?;
-        let trace = trace
-            .ok_or_else(|| ExecError::new(ErrorCode::Store, "explain trace was not recorded"))?;
 
         let result_count = match inner_op {
             OpCode::ReadNode => 1,

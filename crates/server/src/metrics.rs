@@ -16,12 +16,12 @@
 //!   label value per paper lookup path (partial / full / range_scan).
 //! * The extended entries mirror every `Stats` counter and add derived
 //!   values: `rq.<family>.{count,p50_us,p90_us,p99_us,max_us}`,
-//!   `path.<path>.*` in the same shape, `obs.<series>.*` for the
-//!   process-wide instrumentation histograms, and
-//!   `obs.partial_hit_ratio_pct`.
+//!   `path.<path>.*` in the same shape, `obs.<series>.*` for this
+//!   server's instrumentation histograms (its [`LayerMetrics`], fed by
+//!   the traces it opens), and `obs.partial_hit_ratio_pct`.
 
 use axs_client::wire::OpCode;
-use axs_obs::{FinishedTrace, Histogram, HistogramSnapshot, TraceRing};
+use axs_obs::{FinishedTrace, Histogram, HistogramSnapshot, LayerMetrics, TraceRing};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -146,7 +146,8 @@ pub(crate) fn opcode_name_static(opcode_byte: u8) -> &'static str {
 }
 
 /// Per-server observability state: request-latency histograms by opcode
-/// family, the retained-trace ring, and the slow-request log.
+/// family, the layer histograms its traces feed, the retained-trace
+/// ring, and the slow-request log.
 pub(crate) struct EngineMetrics {
     /// Aggregate per-family latency across every store (the series the
     /// unlabeled `axs_request_duration_us{family=...}` exposition carries).
@@ -155,6 +156,8 @@ pub(crate) struct EngineMetrics {
     /// additional `store="..."`-labeled series and `rq.store.<name>.*`
     /// entries. BTreeMap keeps the exposition order deterministic.
     by_store: Mutex<BTreeMap<String, Arc<[Histogram; OpFamily::ALL.len()]>>>,
+    /// Instrumentation histograms, handed to every trace this server opens.
+    pub(crate) layers: Arc<LayerMetrics>,
     ring: TraceRing,
     slow_threshold: Option<Duration>,
     slow_log: Mutex<VecDeque<String>>,
@@ -165,6 +168,7 @@ impl EngineMetrics {
         EngineMetrics {
             families: [const { Histogram::new() }; OpFamily::ALL.len()],
             by_store: Mutex::new(BTreeMap::new()),
+            layers: Arc::default(),
             ring: TraceRing::default(),
             slow_threshold,
             slow_log: Mutex::new(VecDeque::new()),
@@ -299,7 +303,7 @@ impl EngineMetrics {
             "request latency by opcode family, microseconds",
             &request_labeled,
         );
-        let g = axs_obs::global();
+        let g = &self.layers;
         emit_histogram(
             &mut out,
             "axs_lookup_duration_us",
@@ -347,7 +351,7 @@ impl EngineMetrics {
             }
             push_summary(&mut out, &format!("rq.store.{store}"), &merged);
         }
-        let g = axs_obs::global();
+        let g = &self.layers;
         for (path, s) in [
             ("partial", g.lookup_partial_us.snapshot()),
             ("full", g.lookup_full_us.snapshot()),

@@ -123,11 +123,6 @@ impl Server {
         // before the default hook prints the backtrace.
         axs_obs::set_opcode_namer(crate::metrics::opcode_name_static);
         axs_obs::install_panic_hook();
-        if config.trace {
-            // Process-wide: instrumentation points in core/lock/storage
-            // branch on this flag before touching any clock or atomic.
-            axs_obs::set_enabled(true);
-        }
         let stats = Arc::new(ServerStats::default());
         let metrics = Arc::new(EngineMetrics::new(config.slow_request));
         let shared = Arc::new(Shared {
@@ -453,17 +448,16 @@ fn answer(req: &Frame, shared: &Arc<Shared>, writer: &mut BufWriter<TcpStream>) 
     let job_shared = shared.clone();
     // Trace identity is fixed at frame decode time; the worker thread owns
     // the trace itself (begin → instrumented dispatch → finish), since the
-    // whole request executes on it.
+    // whole request executes on it. Instrumentation records only while
+    // that trace is open, so an untraced server's requests record nothing.
     let trace_id = axs_obs::next_trace_id();
     let enqueued = Instant::now();
     let submitted = shared.pool.try_submit(Box::new(move || {
-        axs_obs::trace_begin(trace_id, job_req.opcode);
-        axs_obs::probe(
-            axs_obs::EventKind::QueueWait,
-            axs_obs::enabled().then_some(enqueued),
-            0,
-            0,
-        );
+        if job_shared.config.trace {
+            let layers = job_shared.engine.metrics().layers.clone();
+            axs_obs::trace_begin(trace_id, job_req.opcode, layers);
+            axs_obs::probe(axs_obs::EventKind::QueueWait, Some(enqueued), 0, 0);
+        }
         let outcome = job_shared.engine.dispatch(&job_req);
         let trace = axs_obs::trace_finish();
         let store_label = job_shared.engine.store_label(job_req.store);

@@ -3,11 +3,11 @@
 //! decision log it carries, and the `DumpRecorder` opcode / slow-request
 //! feed of the always-on flight recorder.
 //!
-//! The obs flags and the flight recorder are process-wide, so assertions
-//! are presence- or delta-based — never "equals zero" — to stay
-//! independent of test ordering within this binary. (The `--no-trace`
-//! zero-overhead property is asserted in its own binary,
-//! `no_trace_overhead.rs`, for the same reason.)
+//! The flight recorder is process-wide, so its assertions are presence-
+//! or delta-based — never "equals zero" — to stay independent of test
+//! ordering within this binary. (The `--no-trace` recorder property is
+//! asserted in its own binary, `no_trace_overhead.rs`, for the same
+//! reason.)
 
 use axs_catalog::{Catalog, CatalogConfig};
 use axs_client::Client;

@@ -2,10 +2,9 @@
 //! loopback connection, the partial-index hit/miss counters under a
 //! cached-lookup workload, and the slow-request log's span trees.
 //!
-//! Note: the instrumentation histograms (`obs.*`, `path.*`) are
-//! process-wide by design, so assertions here are presence- or
-//! delta-based — never "equals zero" — to stay independent of test
-//! ordering within this binary.
+//! The instrumentation histograms (`obs.*`, `path.*`) belong to the
+//! server whose traces fed them, so each test may assert exact counts on
+//! its own server whatever else runs in this binary.
 
 use axs_client::{Client, StatEntry};
 use axs_core::StoreBuilder;
@@ -339,4 +338,39 @@ fn slow_log_emits_span_tree_with_lock_and_index_events() {
 
     handle.shutdown();
     handle.join().unwrap();
+}
+
+/// Instrumentation is per server: beside a traced server, a `trace: false`
+/// one retains no traces and its layer histograms stay empty, while the
+/// traced one's histograms count only its own requests.
+#[test]
+fn untraced_server_beside_a_traced_one_records_nothing() {
+    let traced = start_in_memory(ServerConfig::default());
+    let untraced = start_in_memory(ServerConfig {
+        trace: false,
+        ..ServerConfig::default()
+    });
+    let (mut t, mut u) = (connect(&traced), connect(&untraced));
+    let (t_root, _) = t.bulk_load(r#"<doc><a/><b/></doc>"#).unwrap();
+    let (u_root, _) = u.bulk_load(r#"<doc><a/><b/></doc>"#).unwrap();
+    for _ in 0..20 {
+        t.read_node(t_root).unwrap();
+        u.read_node(u_root).unwrap();
+    }
+
+    assert!(
+        untraced.recent_traces().is_empty(),
+        "untraced server retains no traces"
+    );
+    let (_, entries) = u.metrics().unwrap();
+    assert_eq!(get(&entries, "obs.queue_wait_us.count"), 0);
+    assert_eq!(get(&entries, "obs.execute_us.count"), 0);
+    // Load + 20 reads + this scrape, whose queue wait records on pickup.
+    let (_, entries) = t.metrics().unwrap();
+    assert_eq!(get(&entries, "obs.queue_wait_us.count"), 22);
+
+    for handle in [traced, untraced] {
+        handle.shutdown();
+        handle.join().unwrap();
+    }
 }
