@@ -22,6 +22,8 @@
 //!   and frozen MVCC snapshots;
 //! - [`mvcc`] — epoch-based snapshots: publish on commit, pin at read
 //!   dispatch, retire when no reader pins the epoch;
+//! - [`table`] — [`NodeTable`]: the flat node table queries evaluate
+//!   against, built once per snapshot epoch;
 //! - [`policy`] — [`IndexingPolicy`]: Full / RangeOnly / RangePlusPartial /
 //!   Adaptive, plus the adaptive controller;
 //! - [`stats`] — operation and lookup-path counters;
@@ -41,6 +43,7 @@ pub mod psvi;
 pub mod range;
 pub mod stats;
 pub mod store;
+pub mod table;
 pub mod view;
 
 pub use adapt::{AdaptCounts, AdaptEvent, AdaptEventKind, AdaptLog, ADAPT_LOG_CAPACITY};
@@ -56,4 +59,5 @@ pub use psvi::AnnotateOutcome;
 pub use range::{RangeHeader, RANGE_HEADER_LEN};
 pub use stats::{LookupPath, SharedStats, StoreStats};
 pub use store::{StoreBuilder, XmlStore};
+pub use table::{NodeKind, NodeTable};
 pub use view::{ReadView, ViewPos, ViewSpan};

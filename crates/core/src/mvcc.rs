@@ -24,6 +24,7 @@
 
 use crate::error::StoreError;
 use crate::range::{RangeData, RangeHeader};
+use crate::table::NodeTable;
 use crate::view::{ReadView, ViewPos};
 use axs_obs::{Histogram, HistogramSnapshot};
 use axs_xdm::{IdInterval, NodeId};
@@ -122,10 +123,17 @@ pub struct Snapshot {
     by_id: Vec<(IdInterval, u32)>,
     /// Stable range id → document position.
     by_range: HashMap<u64, u32>,
+    /// The epoch's node table, built by the first query that needs it and
+    /// dropped with the epoch.
+    table: OnceLock<Arc<NodeTable<'static>>>,
+    /// Registry-wide count of tables built (`mvcc.tables_built`).
+    tables_built: Arc<AtomicU64>,
 }
 
 impl Snapshot {
-    fn new(epoch: u64, lsn: u64, ranges: Vec<Arc<LazyRange>>) -> Snapshot {
+    /// Indexes `ranges` for an epoch whose number the registry assigns
+    /// when it publishes the snapshot.
+    fn new(lsn: u64, ranges: Vec<Arc<LazyRange>>, tables_built: Arc<AtomicU64>) -> Snapshot {
         let mut by_id: Vec<(IdInterval, u32)> = ranges
             .iter()
             .enumerate()
@@ -138,12 +146,14 @@ impl Snapshot {
             .map(|(i, r)| (r.header.range_id, i as u32))
             .collect();
         Snapshot {
-            epoch,
+            epoch: 0,
             lsn,
             created: Instant::now(),
             ranges,
             by_id,
             by_range,
+            table: OnceLock::new(),
+            tables_built,
         }
     }
 
@@ -223,6 +233,24 @@ impl ReadView for Snapshot {
         ))?;
         Ok((data.header.range_id, idx as u32))
     }
+
+    fn node_table(&self) -> Result<Arc<NodeTable<'static>>, StoreError> {
+        if let Some(table) = self.table.get() {
+            return Ok(table.clone());
+        }
+        let ranges = self
+            .ranges
+            .iter()
+            .map(|r| r.data())
+            .collect::<Result<Vec<_>, _>>()?;
+        // A concurrent first query waits for this build instead of
+        // repeating it, so the count is exactly one per epoch.
+        let table = self.table.get_or_init(|| {
+            self.tables_built.fetch_add(1, Ordering::Relaxed);
+            Arc::new(NodeTable::from_ranges(ranges))
+        });
+        Ok(table.clone())
+    }
 }
 
 /// A pin on one epoch. Derefs to the pinned [`Snapshot`]; dropping the
@@ -271,6 +299,9 @@ pub struct MvccStats {
     /// lazy-materialization counter (publish defers all decoding; this
     /// advances only when a reader first loads a range).
     pub lazy_materialized: u64,
+    /// Snapshot node tables built: at most one per epoch, by the first
+    /// query that pins it. Point reads never build one.
+    pub tables_built: u64,
 }
 
 struct RegistryInner {
@@ -291,6 +322,9 @@ pub struct EpochRegistry {
     /// Shared with every [`LazyRange`] this registry publishes: counts the
     /// deferred decodes that actually ran.
     lazy_materialized: Arc<AtomicU64>,
+    /// Shared with every [`Snapshot`] this registry publishes: counts the
+    /// node tables built.
+    tables_built: Arc<AtomicU64>,
     /// Age of the pinned snapshot at pin time, in microseconds — how stale
     /// the data a reader observes actually is.
     age_us: Histogram,
@@ -306,6 +340,7 @@ impl Default for EpochRegistry {
             retired_total: AtomicU64::new(0),
             pins_total: AtomicU64::new(0),
             lazy_materialized: Arc::new(AtomicU64::new(0)),
+            tables_built: Arc::new(AtomicU64::new(0)),
             age_us: Histogram::new(),
         }
     }
@@ -321,17 +356,25 @@ impl EpochRegistry {
     /// Publishes the next epoch from a document-ordered range chain,
     /// superseding (and possibly retiring) the previous current snapshot.
     /// Returns the new epoch number.
+    ///
+    /// Only the swap runs under the mutex every `pin`/`unpin` takes: the
+    /// snapshot's indexes are built before it, and a superseded snapshot
+    /// nobody pins (with its node table) is freed after it.
     pub fn publish(&self, lsn: u64, ranges: Vec<Arc<LazyRange>>) -> u64 {
+        let mut snap = Snapshot::new(lsn, ranges, self.tables_built.clone());
         let mut inner = self.inner.lock();
         let epoch = inner.current.as_ref().map(|s| s.epoch + 1).unwrap_or(1);
-        let snap = Arc::new(Snapshot::new(epoch, lsn, ranges));
-        if let Some(old) = inner.current.replace(snap) {
+        snap.epoch = epoch;
+        let old = inner.current.replace(Arc::new(snap));
+        if let Some(old) = &old {
             // The superseded epoch is retired now unless a reader pins it;
             // then the last unpin retires it.
             if !inner.pinned.contains_key(&old.epoch) {
                 self.retired_total.fetch_add(1, Ordering::Relaxed);
             }
         }
+        drop(inner);
+        drop(old);
         epoch
     }
 
@@ -398,6 +441,7 @@ impl EpochRegistry {
             pins_active,
             pins_total: self.pins_total.load(Ordering::Relaxed),
             lazy_materialized: self.lazy_materialized.load(Ordering::Relaxed),
+            tables_built: self.tables_built.load(Ordering::Relaxed),
         }
     }
 

@@ -21,6 +21,7 @@ use crate::cursor::ViewCursor;
 use crate::error::StoreError;
 use crate::range::RangeData;
 use crate::store::XmlStore;
+use crate::table::NodeTable;
 use axs_idgen::IdRegenerator;
 use axs_storage::PageId;
 use axs_xdm::{NodeId, QName, Token, TokenKind};
@@ -177,6 +178,33 @@ pub trait ReadView {
         Self: Sized,
     {
         self.cursor().map(|r| r.map(|(_, t)| t)).collect()
+    }
+
+    /// Hands every range of the view to `visit`, in document order: a
+    /// whole-view scan that borrows the decoded tokens instead of cloning
+    /// them. `XmlStore` overrides it to record the full-scan statistics.
+    fn scan_ranges<E, F>(&self, visit: F) -> Result<(), E>
+    where
+        Self: Sized,
+        E: From<StoreError>,
+        F: FnMut(Arc<RangeData>) -> Result<(), E>,
+    {
+        walk_ranges(self, visit)
+    }
+
+    /// The view's [`NodeTable`], the structure XPath and FLWOR evaluate
+    /// against. Built from a full scan here; a [`crate::Snapshot`] builds
+    /// it once and keeps it for the epoch's lifetime.
+    fn node_table(&self) -> Result<Arc<NodeTable<'static>>, StoreError>
+    where
+        Self: Sized,
+    {
+        let mut ranges = Vec::new();
+        self.scan_ranges(|data| {
+            ranges.push(data);
+            Ok::<_, StoreError>(())
+        })?;
+        Ok(Arc::new(NodeTable::from_ranges(ranges)))
     }
 
     // ---- derived: navigation (ports of the store's §9 layer) ---------------
@@ -405,6 +433,22 @@ pub trait ReadView {
     }
 }
 
+/// The default [`ReadView::scan_ranges`]: first range to last through the
+/// view's own primitives.
+fn walk_ranges<V, E, F>(view: &V, mut visit: F) -> Result<(), E>
+where
+    V: ReadView,
+    E: From<StoreError>,
+    F: FnMut(Arc<RangeData>) -> Result<(), E>,
+{
+    let mut pos = view.view_first_range()?;
+    while let Some(at) = pos {
+        visit(view.view_load_at(at)?)?;
+        pos = view.view_next_range(at)?;
+    }
+    Ok(())
+}
+
 /// The live store is a `ReadView`: positions are `(block page, slot)` and
 /// the lookup entry points route through the memoizing partial index, the
 /// per-lookup statistics, and the byte-offset `read_span` fast path.
@@ -463,5 +507,15 @@ impl ReadView for XmlStore {
     fn cursor(&self) -> ViewCursor<'_, XmlStore> {
         // The inherent entry point records the full-scan statistics.
         self.read()
+    }
+
+    fn scan_ranges<E, F>(&self, visit: F) -> Result<(), E>
+    where
+        E: From<StoreError>,
+        F: FnMut(Arc<RangeData>) -> Result<(), E>,
+    {
+        self.note_full_scan();
+        self.observe_read_op();
+        walk_ranges(self, visit)
     }
 }

@@ -44,12 +44,48 @@ use axs_client::wire::{
 use axs_core::{ReadView, StoreError, XmlStore, GC_HISTOGRAM_BOUNDS, GC_HISTOGRAM_BUCKETS};
 use axs_lock::{LockError, LockMode, Resource};
 use axs_xdm::{NodeId, Token};
-use axs_xml::{parse_document, parse_fragment, serialize, ParseOptions, SerializeOptions};
+use axs_xml::serializer::SerializeError;
+use axs_xml::{parse_document, parse_fragment, ParseOptions, SerializeOptions, StreamSerializer};
 use std::sync::Arc;
 
 /// Streamed `ReadAll` chunk size: big enough to amortize framing, small
 /// enough that slow clients see steady progress.
 const READ_ALL_CHUNK: usize = 64 * 1024;
+
+/// The `ReadAll` body: the view serialized straight into `READ_ALL_CHUNK`
+/// payloads — every one full but the last, split on byte boundaries (the
+/// client re-validates UTF-8 over the whole accumulation) — plus the token
+/// count. Tokens are borrowed from the view's decoded ranges, never cloned,
+/// and no whole-document string is built.
+fn read_all_chunks<V: ReadView>(view: &V) -> Result<(Vec<Vec<u8>>, u64), ExecError> {
+    let mut ser = StreamSerializer::new(SerializeOptions::default());
+    let mut chunks = Vec::new();
+    let mut chunk = Vec::new();
+    let mut tokens = 0u64;
+    view.scan_ranges(|data| {
+        for tok in &data.tokens {
+            let mut text = ser.write_token(tok)?.as_bytes();
+            while !text.is_empty() {
+                if chunk.is_empty() {
+                    chunk.reserve_exact(READ_ALL_CHUNK);
+                }
+                let take = text.len().min(READ_ALL_CHUNK - chunk.len());
+                chunk.extend_from_slice(&text[..take]);
+                text = &text[take..];
+                if chunk.len() == READ_ALL_CHUNK {
+                    chunks.push(std::mem::take(&mut chunk));
+                }
+            }
+        }
+        tokens += data.tokens.len() as u64;
+        Ok::<_, ExecError>(())
+    })?;
+    ser.finish()?;
+    if !chunk.is_empty() {
+        chunks.push(chunk);
+    }
+    Ok((chunks, tokens))
+}
 
 /// What one dispatched request produced.
 pub(crate) struct DispatchOutcome {
@@ -99,6 +135,7 @@ enum Intent {
 }
 
 /// A request-level failure, mapped onto a typed wire error.
+#[derive(Debug)]
 struct ExecError {
     code: ErrorCode,
     message: String,
@@ -121,6 +158,12 @@ impl From<WireError> for ExecError {
 
 impl From<StoreError> for ExecError {
     fn from(e: StoreError) -> Self {
+        ExecError::new(ErrorCode::Store, e.to_string())
+    }
+}
+
+impl From<SerializeError> for ExecError {
+    fn from(e: SerializeError) -> Self {
         ExecError::new(ErrorCode::Store, e.to_string())
     }
 }
@@ -674,13 +717,15 @@ impl Engine {
                 r.finish()?;
                 let compiled = axs_xpath::compile(&path)
                     .map_err(|e| ExecError::new(ErrorCode::Parse, e.to_string()))?;
-                let matches = axs_xpath::evaluate_store(view, &compiled)?;
+                let table = view.node_table()?;
+                let matches = axs_xpath::evaluate_table(&table, &compiled);
                 let mut frames = Vec::with_capacity(matches.len() + 1);
-                for (node, tokens) in &matches {
+                for &n in &matches {
+                    let node = table.node_id(n);
                     let mut p = Vec::new();
                     p.push(u8::from(node.is_some()));
                     put_u64(&mut p, node.map_or(0, NodeId::get));
-                    put_str(&mut p, &Self::render(tokens)?);
+                    put_str(&mut p, &Self::render(table.tokens(n))?);
                     frames.push(Frame::more(id, op, p));
                 }
                 let mut fin = Vec::new();
@@ -748,16 +793,13 @@ impl Engine {
             }
             ReadAll => {
                 r.finish()?;
-                let tokens = view.read_all()?;
-                let text = Self::render(&tokens)?;
-                let mut frames = Vec::with_capacity(text.len() / READ_ALL_CHUNK + 2);
-                // Chunks split on byte boundaries; the client re-validates
-                // UTF-8 over the whole accumulation.
-                for chunk in text.as_bytes().chunks(READ_ALL_CHUNK) {
-                    frames.push(Frame::more(id, op, chunk.to_vec()));
-                }
+                let (chunks, tokens) = read_all_chunks(view)?;
+                let mut frames: Vec<Frame> = chunks
+                    .into_iter()
+                    .map(|chunk| Frame::more(id, op, chunk))
+                    .collect();
                 let mut fin = Vec::new();
-                put_u64(&mut fin, tokens.len() as u64);
+                put_u64(&mut fin, tokens);
                 frames.push(Frame::done(id, op, fin));
                 frames
             }
@@ -1054,6 +1096,8 @@ impl Engine {
             // instead of eagerly at publish. Staying well below the range
             // count proves publishes don't decode what nobody reads.
             out.push(("mvcc.lazy_materialized".to_string(), m.lazy_materialized));
+            // Node tables built for queries: at most one per epoch.
+            out.push(("mvcc.tables_built".to_string(), m.tables_built));
             // Every publish is one epoch, so the count is the epoch number.
             out.push(("mvcc.publishes".to_string(), m.current_epoch));
         }
@@ -1097,9 +1141,14 @@ impl Engine {
         }
     }
 
-    fn render(tokens: &[Token]) -> Result<String, ExecError> {
-        serialize(tokens, &SerializeOptions::default())
-            .map_err(|e| ExecError::new(ErrorCode::Store, e.to_string()))
+    fn render<'a>(tokens: impl IntoIterator<Item = &'a Token>) -> Result<String, ExecError> {
+        let mut ser = StreamSerializer::new(SerializeOptions::default());
+        let mut out = String::new();
+        for tok in tokens {
+            out.push_str(ser.write_token(tok)?);
+        }
+        ser.finish()?;
+        Ok(out)
     }
 
     fn interval_payload(iv: axs_xdm::IdInterval) -> Vec<u8> {
@@ -1107,5 +1156,75 @@ impl Engine {
         put_u64(&mut p, iv.start.get());
         put_u64(&mut p, iv.end.get());
         p
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use axs_core::StoreBuilder;
+    use axs_xml::serialize;
+
+    /// A document that serializes to exactly `len` bytes with `ch` (a 2-,
+    /// 3- or 4-byte character) straddling every `READ_ALL_CHUNK` boundary:
+    /// a leading text run, 1 KiB `<t>` elements, a trailing text run. The
+    /// lead puts every boundary mid-text.
+    fn doc(len: usize, ch: char) -> String {
+        const SEG: usize = 1024;
+        let mut bytes = vec![b'a'; len.min(SEG / 2)];
+        while bytes.len() + SEG <= len {
+            bytes.extend_from_slice(b"<t>");
+            bytes.resize(bytes.len() + SEG - 7, b'a');
+            bytes.extend_from_slice(b"</t>");
+        }
+        bytes.resize(len, b'a');
+        let mut buf = [0u8; 4];
+        let ch = ch.encode_utf8(&mut buf).as_bytes();
+        for boundary in (READ_ALL_CHUNK..len).step_by(READ_ALL_CHUNK) {
+            let at = (boundary - 1).min(len - ch.len());
+            bytes[at..at + ch.len()].copy_from_slice(ch);
+        }
+        String::from_utf8(bytes).unwrap()
+    }
+
+    fn check<V: ReadView>(view: &V, xml: &str) {
+        let tokens = view.read_all().unwrap();
+        let (chunks, count) = read_all_chunks(view).unwrap();
+        assert_eq!(count, tokens.len() as u64, "Done carries the token count");
+        assert_eq!(
+            chunks.concat(),
+            serialize(&tokens, &SerializeOptions::default())
+                .unwrap()
+                .as_bytes()
+        );
+        assert_eq!(chunks.concat(), xml.as_bytes());
+        if let Some((last, full)) = chunks.split_last() {
+            assert!(full.iter().all(|c| c.len() == READ_ALL_CHUNK));
+            assert!(!last.is_empty() && last.len() <= READ_ALL_CHUNK);
+        }
+        assert_eq!(chunks.len(), xml.len().div_ceil(READ_ALL_CHUNK));
+    }
+
+    #[test]
+    fn read_all_chunks_hold_every_boundary() {
+        const C: usize = READ_ALL_CHUNK;
+        for len in [0, C - 1, C, C + 1, 2 * C - 1, 2 * C, 2 * C + 1] {
+            for ch in ['é', '€', '😀'] {
+                let xml = doc(len, ch);
+                assert_eq!(xml.len(), len);
+                if len > C {
+                    assert!(!xml.is_char_boundary(C), "{len}: {ch} straddles {C}");
+                }
+                let mut store = StoreBuilder::new().build().unwrap();
+                if len > 0 {
+                    store
+                        .bulk_insert(parse_fragment(&xml, ParseOptions::data_centric()).unwrap())
+                        .unwrap();
+                    store.commit().unwrap();
+                }
+                check(&store, &xml);
+                check(&*store.epoch_registry().pin().unwrap(), &xml);
+            }
+        }
     }
 }

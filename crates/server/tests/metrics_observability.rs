@@ -108,6 +108,7 @@ fn metrics_opcode_exposes_every_documented_series() {
         "server.writes_max_in_flight",
         "mvcc.publishes",
         "mvcc.lazy_materialized",
+        "mvcc.tables_built",
         "mvcc.current_epoch",
         "mvcc.epochs_live",
         "mvcc.oldest_pinned",

@@ -504,3 +504,35 @@ fn snapshot_reads_bypass_locks_and_see_acknowledged_writes() {
     locked.shutdown();
     locked.join().unwrap();
 }
+
+/// `ReadAll` streams 64 KiB frames straight from the pinned snapshot's
+/// ranges: documents one byte either side of a frame, with a multi-byte
+/// character straddling the boundary, arrive byte-identical.
+#[test]
+fn read_all_streams_across_a_frame_boundary() {
+    const CHUNK: usize = 64 * 1024;
+    // A leading text run, 1 KiB `<t>` elements, a trailing text run: the
+    // lead puts the boundary mid-text, where `€` is written across it.
+    fn doc(len: usize) -> String {
+        let mut bytes = vec![b'a'; 512];
+        while bytes.len() + 1024 <= len {
+            bytes.extend_from_slice(b"<t>");
+            bytes.resize(bytes.len() + 1017, b'a');
+            bytes.extend_from_slice(b"</t>");
+        }
+        bytes.resize(len, b'a');
+        if len > CHUNK {
+            let at = (CHUNK - 1).min(len - 3);
+            bytes[at..at + 3].copy_from_slice("€".as_bytes());
+        }
+        String::from_utf8(bytes).unwrap()
+    }
+    for len in [CHUNK - 1, CHUNK + 1] {
+        let handle = start_in_memory(ServerConfig::default());
+        let mut c = connect(&handle);
+        let xml = doc(len);
+        c.bulk_load(&xml).unwrap();
+        assert_eq!(c.read_all().unwrap(), xml, "{len} bytes");
+        handle.shutdown();
+    }
+}

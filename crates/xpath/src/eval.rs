@@ -1,12 +1,18 @@
-//! XPath evaluation over token sequences.
+//! XPath evaluation over a flat node table.
 //!
-//! Evaluation builds a lightweight node table from the flat token stream
-//! (spans + parent/child relations — no DOM objects) and applies location
-//! steps with set semantics in document order.
+//! Every entry point evaluates against one [`NodeTable`] — kind, name id,
+//! token span, parent and child/attribute runs per node, no per-node
+//! objects — through one step evaluator. A token fragment gets a table
+//! that borrows its tokens; a pinned MVCC snapshot builds its table on the
+//! first query of the epoch and every later query reuses it; the live
+//! store builds one per call from the ranges it decodes. Node indexes are
+//! in document order by construction, so a step's result set is sorted
+//! and deduplicated as plain integers, and tokens are copied only where a
+//! caller asks for a match's subtree.
 
 use crate::ast::{Axis, NodeTest, Predicate, Step, XPath};
-use axs_core::{ReadView, StoreError};
-use axs_xdm::{NodeId, Token, TokenKind};
+use axs_core::{NodeKind, NodeTable, ReadView, StoreError};
+use axs_xdm::{NodeId, Token};
 
 /// One query result: the matched node's token span (within the evaluated
 /// sequence) and its stable identifier when evaluated against a store.
@@ -20,323 +26,150 @@ pub struct Match {
     pub node_id: Option<NodeId>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kind {
-    Element,
-    Attribute,
-    Text,
-    Comment,
-    Pi,
+/// Evaluates `path` from the table's virtual document root: the matching
+/// nodes, in document order.
+pub fn evaluate_table(table: &NodeTable<'_>, path: &XPath) -> Vec<u32> {
+    eval_path(table, None, path)
 }
 
-struct Node {
-    kind: Kind,
-    name: Option<String>,
-    start: usize,
-    end: usize,
-    parent: Option<usize>,
-    children: Vec<usize>,
-    attributes: Vec<usize>,
-    id: Option<NodeId>,
+/// Evaluates a relative `path` with node `ctx` as the context node — the
+/// binding semantics of a FLWOR variable.
+pub fn evaluate_at(table: &NodeTable<'_>, ctx: u32, path: &XPath) -> Vec<u32> {
+    eval_path(table, Some(ctx), path)
 }
 
-struct Tree {
-    nodes: Vec<Node>,
-    roots: Vec<usize>,
-}
-
-impl Tree {
-    fn build(tokens: &[(Option<NodeId>, &Token)]) -> Tree {
-        let mut nodes: Vec<Node> = Vec::new();
-        let mut roots = Vec::new();
-        let mut stack: Vec<usize> = Vec::new();
-        for (i, (id, tok)) in tokens.iter().enumerate() {
-            let kind = match tok.kind() {
-                TokenKind::BeginElement => Some(Kind::Element),
-                TokenKind::BeginAttribute => Some(Kind::Attribute),
-                TokenKind::Text => Some(Kind::Text),
-                TokenKind::Comment => Some(Kind::Comment),
-                TokenKind::ProcessingInstruction => Some(Kind::Pi),
-                _ => None,
-            };
-            if let Some(kind) = kind {
-                let name = match tok {
-                    Token::BeginElement { name, .. } | Token::BeginAttribute { name, .. } => {
-                        Some(name.to_lexical())
-                    }
-                    Token::ProcessingInstruction { target, .. } => Some(target.to_string()),
-                    _ => None,
-                };
-                let parent = stack.last().copied();
-                let idx = nodes.len();
-                nodes.push(Node {
-                    kind,
-                    name,
-                    start: i,
-                    end: i,
-                    parent,
-                    children: Vec::new(),
-                    attributes: Vec::new(),
-                    id: *id,
-                });
-                match parent {
-                    Some(p) => {
-                        if kind == Kind::Attribute {
-                            nodes[p].attributes.push(idx);
-                        } else {
-                            nodes[p].children.push(idx);
-                        }
-                    }
-                    None => roots.push(idx),
-                }
-                if tok.kind().is_begin() {
-                    stack.push(idx);
-                }
-            } else if tok.kind().is_end() {
-                if let Some(idx) = stack.pop() {
-                    nodes[idx].end = i;
-                }
-            }
-        }
-        Tree { nodes, roots }
-    }
-
-    fn descendants_of(&self, ctx: Option<usize>, out: &mut Vec<usize>) {
-        let children: &[usize] = match ctx {
-            Some(i) => &self.nodes[i].children,
-            None => &self.roots,
-        };
-        for &c in children {
-            out.push(c);
-            self.descendants_of(Some(c), out);
-        }
-    }
-}
-
-/// Evaluator bound to the token table (so string values can be read).
-struct Evaluator<'t> {
-    tree: Tree,
-    tokens: Vec<(Option<NodeId>, &'t Token)>,
-}
-
-impl Evaluator<'_> {
-    fn string_value(&self, idx: usize) -> String {
-        let mut out = String::new();
-        self.collect_string(idx, &mut out);
-        out
-    }
-
-    fn collect_string(&self, idx: usize, out: &mut String) {
-        let node = &self.tree.nodes[idx];
-        match node.kind {
-            Kind::Element => {
-                for &c in &node.children {
-                    self.collect_string(c, out);
-                }
-            }
-            _ => {
-                if let Some(v) = self.tokens[node.start].1.string_value() {
-                    out.push_str(v);
-                }
-            }
-        }
-    }
-
-    fn test_matches(&self, idx: usize, test: &NodeTest, axis: Axis) -> bool {
-        let node = &self.tree.nodes[idx];
-        match test {
-            NodeTest::Name(name) => {
-                let kind_ok = if axis == Axis::Attribute {
-                    node.kind == Kind::Attribute
-                } else {
-                    node.kind == Kind::Element
-                };
-                kind_ok && node.name.as_deref() == Some(name.as_str())
-            }
-            NodeTest::Wildcard => {
-                if axis == Axis::Attribute {
-                    node.kind == Kind::Attribute
-                } else {
-                    node.kind == Kind::Element
-                }
-            }
-            NodeTest::Text => node.kind == Kind::Text,
-            NodeTest::Comment => node.kind == Kind::Comment,
-            NodeTest::AnyNode => node.kind != Kind::Attribute || axis == Axis::Attribute,
-        }
-    }
-
-    /// Candidates of one step from one context (`None` = virtual document
-    /// root), in document order, before predicates.
-    fn step_candidates(&self, ctx: Option<usize>, step: &Step) -> Vec<usize> {
-        let mut raw: Vec<usize> = Vec::new();
-        match step.axis {
-            Axis::Child => match ctx {
-                Some(i) => raw.extend(&self.tree.nodes[i].children),
-                None => raw.extend(&self.tree.roots),
-            },
-            Axis::Descendant => self.tree.descendants_of(ctx, &mut raw),
-            Axis::Attribute => {
-                if let Some(i) = ctx {
-                    raw.extend(&self.tree.nodes[i].attributes);
-                }
-            }
-            Axis::SelfAxis => {
-                if let Some(i) = ctx {
-                    raw.push(i);
-                }
-            }
-            Axis::Parent => {
-                if let Some(i) = ctx {
-                    if let Some(p) = self.tree.nodes[i].parent {
-                        raw.push(p);
-                    }
-                }
-            }
-        }
-        raw.retain(|&i| self.test_matches(i, &step.test, step.axis));
-        raw
-    }
-
-    fn apply_predicates(&self, mut candidates: Vec<usize>, predicates: &[Predicate]) -> Vec<usize> {
-        for p in predicates {
-            candidates = match p {
-                Predicate::Position(n) => {
-                    if *n <= candidates.len() {
-                        vec![candidates[*n - 1]]
-                    } else {
-                        Vec::new()
-                    }
-                }
-                Predicate::Exists(rel) => candidates
-                    .into_iter()
-                    .filter(|&c| !self.eval_path(Some(c), rel).is_empty())
-                    .collect(),
-                Predicate::PathCompare(rel, op, lit) => candidates
-                    .into_iter()
-                    .filter(|&c| {
-                        self.eval_path(Some(c), rel)
-                            .iter()
-                            .any(|&m| op.test(&self.string_value(m), lit))
-                    })
-                    .collect(),
-                Predicate::Last => match candidates.pop() {
-                    Some(last) => vec![last],
-                    None => Vec::new(),
-                },
-            };
-        }
-        candidates
-    }
-
-    /// Evaluates `path` from a single context node.
-    fn eval_path(&self, ctx: Option<usize>, path: &XPath) -> Vec<usize> {
-        let mut contexts: Vec<Option<usize>> = vec![ctx];
-        let mut result: Vec<usize> = Vec::new();
-        for (si, step) in path.steps.iter().enumerate() {
-            let mut next: Vec<usize> = Vec::new();
-            let mut seen = std::collections::HashSet::new();
-            for &c in &contexts {
-                let candidates = self.step_candidates(c, step);
-                let filtered = self.apply_predicates(candidates, &step.predicates);
-                for idx in filtered {
-                    if seen.insert(idx) {
-                        next.push(idx);
-                    }
-                }
-            }
-            next.sort_unstable_by_key(|&i| self.tree.nodes[i].start);
-            if si == path.steps.len() - 1 {
-                result = next;
-            } else {
-                contexts = next.into_iter().map(Some).collect();
-                if contexts.is_empty() {
-                    return Vec::new();
-                }
-            }
-        }
-        result
-    }
-}
-
-fn evaluate_pairs(pairs: Vec<(Option<NodeId>, &Token)>, path: &XPath) -> Vec<Match> {
-    let tree = Tree::build(&pairs);
-    let ev = Evaluator {
-        tree,
-        tokens: pairs,
+/// Evaluates `path` from one context node (`None` = virtual document root).
+fn eval_path(t: &NodeTable<'_>, ctx: Option<u32>, path: &XPath) -> Vec<u32> {
+    let Some((first, rest)) = path.steps.split_first() else {
+        return Vec::new();
     };
-    ev.eval_path(None, path)
+    let mut nodes = eval_step(t, ctx, first);
+    for step in rest {
+        if nodes.is_empty() {
+            break;
+        }
+        let mut next = Vec::new();
+        for &n in &nodes {
+            next.extend(eval_step(t, Some(n), step));
+        }
+        next.sort_unstable();
+        next.dedup();
+        nodes = next;
+    }
+    nodes
+}
+
+/// One step from one context: axis, node test, then predicates, in
+/// document order.
+fn eval_step(t: &NodeTable<'_>, ctx: Option<u32>, step: &Step) -> Vec<u32> {
+    let principal = if step.axis == Axis::Attribute {
+        NodeKind::Attribute
+    } else {
+        NodeKind::Element
+    };
+    let name = match &step.test {
+        NodeTest::Name(name) => match t.name_id(name) {
+            Some(id) => Some(id),
+            None => return Vec::new(),
+        },
+        _ => None,
+    };
+    let test = |n: u32| {
+        let kind = t.kind(n);
+        match step.test {
+            NodeTest::Name(_) => kind == principal && t.name_of(n) == name,
+            NodeTest::Wildcard => kind == principal,
+            NodeTest::Text => kind == NodeKind::Text,
+            NodeTest::Comment => kind == NodeKind::Comment,
+            NodeTest::AnyNode => kind != NodeKind::Attribute || step.axis == Axis::Attribute,
+        }
+    };
+    let mut out: Vec<u32> = match (step.axis, ctx) {
+        (Axis::Child, None) => t.roots().iter().copied().filter(|&n| test(n)).collect(),
+        (Axis::Child, Some(c)) => t.children(c).iter().copied().filter(|&n| test(n)).collect(),
+        (Axis::Descendant, _) => {
+            let (from, to) = match ctx {
+                Some(c) => (c + 1, t.subtree_end(c)),
+                None => (0, t.len() as u32),
+            };
+            // Off the attribute axis every test rejects attributes.
+            (from..to).filter(|&n| test(n)).collect()
+        }
+        (Axis::Attribute, Some(c)) => t
+            .attributes(c)
+            .iter()
+            .copied()
+            .filter(|&n| test(n))
+            .collect(),
+        (Axis::SelfAxis, Some(c)) => Some(c).filter(|&n| test(n)).into_iter().collect(),
+        (Axis::Parent, Some(c)) => t.parent(c).filter(|&n| test(n)).into_iter().collect(),
+        (Axis::Attribute | Axis::SelfAxis | Axis::Parent, None) => Vec::new(),
+    };
+    for p in &step.predicates {
+        out = match p {
+            Predicate::Position(k) => out.get(k.wrapping_sub(1)).copied().into_iter().collect(),
+            Predicate::Last => out.last().copied().into_iter().collect(),
+            Predicate::Exists(rel) => out
+                .into_iter()
+                .filter(|&c| !eval_path(t, Some(c), rel).is_empty())
+                .collect(),
+            Predicate::PathCompare(rel, op, lit) => out
+                .into_iter()
+                .filter(|&c| {
+                    eval_path(t, Some(c), rel)
+                        .into_iter()
+                        .any(|m| op.test(&t.string_value(m), lit))
+                })
+                .collect(),
+        };
+    }
+    out
+}
+
+fn to_matches(table: &NodeTable<'_>, nodes: Vec<u32>) -> Vec<Match> {
+    nodes
         .into_iter()
-        .map(|i| {
-            let n = &ev.tree.nodes[i];
-            Match {
-                token_start: n.start,
-                token_end: n.end,
-                node_id: n.id,
-            }
+        .map(|n| Match {
+            token_start: table.begin(n),
+            token_end: table.end(n),
+            node_id: table.node_id(n),
         })
         .collect()
 }
 
 /// Evaluates a compiled path over a token fragment.
 pub fn evaluate(tokens: &[Token], path: &XPath) -> Vec<Match> {
-    let pairs: Vec<(Option<NodeId>, &Token)> = tokens.iter().map(|t| (None, t)).collect();
-    evaluate_pairs(pairs, path)
+    let table = NodeTable::from_tokens(tokens);
+    let nodes = evaluate_table(&table, path);
+    to_matches(&table, nodes)
 }
 
 /// Evaluates a *relative* path with the fragment's top-level nodes as the
 /// initial context (rather than the virtual document root) — i.e. `qty`
-/// addresses the children of each top-level node. This is the binding
-/// semantics FLWOR variables need.
+/// addresses the children of each top-level node.
 pub fn evaluate_from_roots(tokens: &[Token], path: &XPath) -> Vec<Match> {
-    let pairs: Vec<(Option<NodeId>, &Token)> = tokens.iter().map(|t| (None, t)).collect();
-    let tree = Tree::build(&pairs);
-    let roots = tree.roots.clone();
-    let ev = Evaluator {
-        tree,
-        tokens: pairs,
-    };
-    let mut out: Vec<usize> = Vec::new();
-    let mut seen = std::collections::HashSet::new();
-    for root in roots {
-        for idx in ev.eval_path(Some(root), path) {
-            if seen.insert(idx) {
-                out.push(idx);
-            }
-        }
-    }
-    out.sort_unstable_by_key(|&i| ev.tree.nodes[i].start);
-    out.into_iter()
-        .map(|i| {
-            let n = &ev.tree.nodes[i];
-            Match {
-                token_start: n.start,
-                token_end: n.end,
-                node_id: n.id,
-            }
-        })
-        .collect()
+    let table = NodeTable::from_tokens(tokens);
+    let mut nodes: Vec<u32> = table
+        .roots()
+        .iter()
+        .flat_map(|&root| evaluate_at(&table, root, path))
+        .collect();
+    nodes.sort_unstable();
+    nodes.dedup();
+    to_matches(&table, nodes)
 }
 
 /// One store-evaluation result: stable node id + subtree tokens.
 pub type StoreMatch = (Option<NodeId>, Vec<Token>);
 
 /// Evaluates a compiled path over a whole read view (the live store or a
-/// frozen MVCC snapshot), returning each match's stable node id and
-/// subtree tokens.
+/// frozen MVCC snapshot), returning each match's stable node id and a copy
+/// of its subtree tokens.
 pub fn evaluate_store<V: ReadView>(store: &V, path: &XPath) -> Result<Vec<StoreMatch>, StoreError> {
-    let pairs: Vec<(Option<NodeId>, Token)> = store.cursor().collect::<Result<_, _>>()?;
-    let borrowed: Vec<(Option<NodeId>, &Token)> = pairs.iter().map(|(id, t)| (*id, t)).collect();
-    let matches = evaluate_pairs(borrowed, path);
-    Ok(matches
+    let table = store.node_table()?;
+    Ok(evaluate_table(&table, path)
         .into_iter()
-        .map(|m| {
-            let sub = pairs[m.token_start..=m.token_end]
-                .iter()
-                .map(|(_, t)| t.clone())
-                .collect();
-            (m.node_id, sub)
-        })
+        .map(|n| (table.node_id(n), table.tokens(n).cloned().collect()))
         .collect())
 }
 

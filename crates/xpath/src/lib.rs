@@ -5,10 +5,10 @@
 //! The paper's requirement 1 (§2) is that the store can serve query
 //! evaluation over the XQuery Data Model. This crate demonstrates that the
 //! flat token/range representation supports navigational queries without
-//! a DOM: paths are compiled to a small AST and evaluated against a
-//! lightweight node table (spans + child lists) built in one pass over the
-//! store's document-order cursor — no per-node objects, no pointers back
-//! into mutable storage.
+//! a DOM: paths are compiled to a small AST and evaluated against a flat
+//! node table (axs-core's [`NodeTable`](axs_core::NodeTable): one column
+//! per node property, no per-node objects) that reads the tokens where
+//! they already are. A pinned snapshot builds its table once per epoch.
 //!
 //! Supported grammar (an XPath 1.0 subset):
 //!
@@ -29,5 +29,7 @@ pub mod eval;
 pub mod parser;
 
 pub use ast::{Axis, CompareOp, NodeTest, Predicate, Step, XPath};
-pub use eval::{evaluate, evaluate_from_roots, evaluate_store, Match, StoreMatch};
+pub use eval::{
+    evaluate, evaluate_at, evaluate_from_roots, evaluate_store, evaluate_table, Match, StoreMatch,
+};
 pub use parser::{compile, XPathError};

@@ -1,14 +1,19 @@
 //! FLWOR evaluation over the store.
+//!
+//! Variables bind to nodes of the view's [`NodeTable`] — indexes, not token
+//! copies — so `let`, `where`, `order by` and the return template all
+//! navigate from those nodes in place. Tokens are copied only where the
+//! return template splices a bound subtree into its output.
 
 use crate::ast::{AttrPart, Constructor, FlworQuery, VarPath};
-use axs_core::{ReadView, StoreError};
-use axs_xdm::{Token, TokenKind};
-use axs_xpath::evaluate_from_roots;
+use axs_core::{NodeKind, NodeTable, ReadView, StoreError};
+use axs_xdm::Token;
+use axs_xpath::{evaluate_at, evaluate_table};
 use std::collections::HashMap;
 
 /// A variable environment for one `for` binding: each variable holds a
-/// *sequence* of items (token subtrees).
-type Env = HashMap<String, Vec<Vec<Token>>>;
+/// *sequence* of items (table nodes).
+type Env = HashMap<String, Vec<u32>>;
 
 /// Evaluates a FLWOR query, returning one constructed token fragment per
 /// surviving binding (in binding order after `order by`).
@@ -33,21 +38,18 @@ pub fn evaluate_flwor<V: ReadView>(
     store: &V,
     query: &FlworQuery,
 ) -> Result<Vec<Vec<Token>>, StoreError> {
+    let table = store.node_table()?;
+    let t = &*table;
     // FOR: bind the variable, one environment per binding.
-    let bindings = axs_xpath::evaluate_store(store, &query.source)?;
-    let mut envs: Vec<Env> = bindings
+    let mut envs: Vec<Env> = evaluate_table(t, &query.source)
         .into_iter()
-        .map(|(_, toks)| {
-            let mut env = Env::new();
-            env.insert(query.variable.clone(), vec![toks]);
-            env
-        })
+        .map(|n| Env::from([(query.variable.clone(), vec![n])]))
         .collect();
 
     // LET: extend each environment in clause order.
     for (name, value) in &query.lets {
         for env in &mut envs {
-            let items = resolve(env, value);
+            let items = resolve(t, env, value);
             env.insert(name.clone(), items);
         }
     }
@@ -55,12 +57,10 @@ pub fn evaluate_flwor<V: ReadView>(
     // WHERE: filter environments.
     if let Some(w) = &query.where_clause {
         envs.retain(|env| {
-            let items = resolve(env, &w.path);
+            let items = resolve(t, env, &w.path);
             match &w.compare {
                 None => !items.is_empty(),
-                Some((op, lit)) => items
-                    .iter()
-                    .any(|item| op.test(&item_string_value(item), lit)),
+                Some((op, lit)) => items.iter().any(|&n| op.test(&t.string_value(n), lit)),
             }
         });
     }
@@ -71,9 +71,9 @@ pub fn evaluate_flwor<V: ReadView>(
             .iter()
             .enumerate()
             .map(|(i, env)| {
-                let key = resolve(env, &o.path)
+                let key = resolve(t, env, &o.path)
                     .first()
-                    .map(|item| item_string_value(item));
+                    .map(|&n| t.string_value(n).into_owned());
                 (i, key)
             })
             .collect();
@@ -104,58 +104,35 @@ pub fn evaluate_flwor<V: ReadView>(
     }
 
     // RETURN: construct per environment.
-    Ok(envs.iter().map(|env| construct(env, &query.ret)).collect())
+    Ok(envs
+        .iter()
+        .map(|env| {
+            let mut out = Vec::new();
+            construct_into(t, env, &query.ret, &mut out);
+            out
+        })
+        .collect())
 }
 
 /// Resolves a variable path against an environment: the variable's items,
 /// each navigated further when a relative path is present.
-fn resolve(env: &Env, vp: &VarPath) -> Vec<Vec<Token>> {
+fn resolve(t: &NodeTable<'_>, env: &Env, vp: &VarPath) -> Vec<u32> {
     let Some(base) = env.get(&vp.var) else {
         return Vec::new();
     };
     match &vp.path {
         None => base.clone(),
-        Some(path) => {
-            let mut out = Vec::new();
-            for item in base {
-                for m in evaluate_from_roots(item, path) {
-                    out.push(item[m.token_start..=m.token_end].to_vec());
-                }
-            }
-            out
-        }
+        Some(path) => base.iter().flat_map(|&n| evaluate_at(t, n, path)).collect(),
     }
 }
 
-/// XPath string value of one item.
-fn item_string_value(item: &[Token]) -> String {
-    match item[0].kind() {
-        TokenKind::BeginElement => {
-            let mut out = String::new();
-            let mut in_attr = 0u32;
-            for t in item {
-                match t.kind() {
-                    TokenKind::BeginAttribute => in_attr += 1,
-                    TokenKind::EndAttribute => in_attr -= 1,
-                    TokenKind::Text if in_attr == 0 => {
-                        out.push_str(t.string_value().unwrap_or_default());
-                    }
-                    _ => {}
-                }
-            }
-            out
-        }
-        _ => item[0].string_value().unwrap_or_default().to_string(),
-    }
+/// The string value of the first item `vp` resolves to, if any.
+fn first_string(t: &NodeTable<'_>, env: &Env, vp: &VarPath) -> Option<String> {
+    let first = *resolve(t, env, vp).first()?;
+    Some(t.string_value(first).into_owned())
 }
 
-fn construct(env: &Env, c: &Constructor) -> Vec<Token> {
-    let mut out = Vec::new();
-    construct_into(env, c, &mut out);
-    out
-}
-
-fn construct_into(env: &Env, c: &Constructor, out: &mut Vec<Token>) {
+fn construct_into(t: &NodeTable<'_>, env: &Env, c: &Constructor, out: &mut Vec<Token>) {
     match c {
         Constructor::Element {
             name,
@@ -169,9 +146,7 @@ fn construct_into(env: &Env, c: &Constructor, out: &mut Vec<Token>) {
                     match part {
                         AttrPart::Literal(s) => value.push_str(s),
                         AttrPart::Path(vp) => {
-                            if let Some(item) = resolve(env, vp).first() {
-                                value.push_str(&item_string_value(item));
-                            }
+                            value.push_str(&first_string(t, env, vp).unwrap_or_default())
                         }
                     }
                 }
@@ -179,26 +154,24 @@ fn construct_into(env: &Env, c: &Constructor, out: &mut Vec<Token>) {
                 out.push(Token::EndAttribute);
             }
             for child in children {
-                construct_into(env, child, out);
+                construct_into(t, env, child, out);
             }
             out.push(Token::EndElement);
         }
         Constructor::Text(s) => out.push(Token::text(s.clone())),
         Constructor::Splice(vp) => {
-            for item in resolve(env, vp) {
-                if item[0].kind() == TokenKind::BeginAttribute {
+            for n in resolve(t, env, vp) {
+                if t.kind(n) == NodeKind::Attribute {
                     // A bare attribute cannot be content; use its value.
-                    out.push(Token::text(
-                        item[0].string_value().unwrap_or_default().to_string(),
-                    ));
+                    out.push(Token::text(t.string_value(n)));
                 } else {
-                    out.extend(item);
+                    out.extend(t.tokens(n).cloned());
                 }
             }
         }
         Constructor::StringOf(vp) => {
-            if let Some(item) = resolve(env, vp).first() {
-                out.push(Token::text(item_string_value(item)));
+            if let Some(value) = first_string(t, env, vp) {
+                out.push(Token::text(value));
             }
         }
     }

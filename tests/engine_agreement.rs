@@ -82,3 +82,210 @@ fn string_values_agree_between_store_and_query_layers() {
         assert_eq!(via_store, via_tokens);
     }
 }
+
+// ---- snapshot / live store / flat tokens ---------------------------------
+
+mod three_way {
+    use adaptive_xml_storage::prelude::*;
+    use axs_xpath::{evaluate, evaluate_store};
+    use proptest::prelude::*;
+
+    const NAMES: [&str; 3] = ["a", "b", "c"];
+    const VALUES: [&str; 3] = ["1", "2", "t"];
+
+    /// A generated subtree: an element with an optional `k` attribute and
+    /// text, comment and element children.
+    fn tree() -> impl Strategy<Value = Vec<Token>> {
+        let leaf = prop_oneof![
+            (0usize..3).prop_map(|v| vec![Token::text(VALUES[v])]),
+            Just(vec![Token::comment("c")]),
+            (0usize..3).prop_map(|n| vec![Token::begin_element(NAMES[n]), Token::EndElement]),
+        ];
+        leaf.prop_recursive(4, 48, 4, |inner| {
+            (
+                0usize..3,
+                (any::<bool>(), 0usize..3),
+                proptest::collection::vec(inner, 0..4),
+            )
+                .prop_map(|(n, (attr, v), children)| {
+                    let mut out = vec![Token::begin_element(NAMES[n])];
+                    if attr {
+                        out.push(Token::begin_attribute("k", VALUES[v]));
+                        out.push(Token::EndAttribute);
+                    }
+                    out.extend(children.into_iter().flatten());
+                    out.push(Token::EndElement);
+                    out
+                })
+        })
+    }
+
+    fn element(name: usize, value: usize) -> Vec<Token> {
+        vec![
+            Token::begin_element(NAMES[name]),
+            Token::text(VALUES[value]),
+            Token::EndElement,
+        ]
+    }
+
+    /// One committed write against a selected element below the root.
+    #[derive(Debug, Clone)]
+    enum Write {
+        InsertLast(usize, usize),
+        InsertBefore(usize, usize),
+        Delete(usize),
+        Replace(usize, usize),
+    }
+
+    fn write() -> impl Strategy<Value = Write> {
+        let sel = any::<usize>;
+        prop_oneof![
+            (sel(), 0usize..3).prop_map(|(s, f)| Write::InsertLast(s, f)),
+            (sel(), 0usize..3).prop_map(|(s, f)| Write::InsertBefore(s, f)),
+            sel().prop_map(Write::Delete),
+            (sel(), 0usize..3).prop_map(|(s, f)| Write::Replace(s, f)),
+        ]
+    }
+
+    const STEPS: [&str; 11] = [
+        "a",
+        "b",
+        "c",
+        "*",
+        "text()",
+        "comment()",
+        "node()",
+        "@k",
+        "..",
+        "self::a",
+        "self::*",
+    ];
+    const PREDICATES: [&str; 10] = [
+        "",
+        "[1]",
+        "[2]",
+        "[last()]",
+        "[b]",
+        "[@k]",
+        "[b='1']",
+        "[@k>1]",
+        "[text()='t']",
+        "[c!='2']",
+    ];
+
+    /// A path of one to three steps over the grammar's shapes.
+    fn path() -> impl Strategy<Value = String> {
+        proptest::collection::vec((any::<bool>(), 0..STEPS.len(), 0..PREDICATES.len()), 1..4)
+            .prop_map(|steps| {
+                let mut text = String::new();
+                for (descendant, step, pred) in steps {
+                    let step = STEPS[step];
+                    // `//@k` and `//..` are outside the grammar; `..` takes
+                    // no predicate.
+                    let plain = matches!(step, "@k" | "..");
+                    text.push_str(if descendant && !plain { "//" } else { "/" });
+                    text.push_str(step);
+                    if step != ".." {
+                        text.push_str(PREDICATES[pred]);
+                    }
+                }
+                text
+            })
+    }
+
+    fn below_root(store: &XmlStore, root: NodeId) -> Vec<NodeId> {
+        store
+            .read()
+            .map(|r| r.unwrap())
+            .filter_map(|(id, t)| match (id, t.kind()) {
+                (Some(id), TokenKind::BeginElement) if id != root => Some(id),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn apply(store: &mut XmlStore, root: NodeId, w: &Write) {
+        let targets = below_root(store, root);
+        let pick = |s: usize| targets.get(s % targets.len().max(1)).copied();
+        match *w {
+            Write::InsertLast(s, f) => {
+                let target = pick(s).unwrap_or(root);
+                store.insert_into_last(target, element(f, f)).unwrap();
+            }
+            Write::InsertBefore(s, f) => {
+                if let Some(target) = pick(s) {
+                    store.insert_before(target, element(f, 2 - f)).unwrap();
+                }
+            }
+            Write::Delete(s) => {
+                if let Some(target) = pick(s) {
+                    store.delete_node(target).unwrap();
+                }
+            }
+            Write::Replace(s, f) => {
+                if let Some(target) = pick(s) {
+                    store.replace_node(target, element(f, 0)).unwrap();
+                }
+            }
+        }
+        store.commit().unwrap();
+    }
+
+    /// The same matches three ways: on a pinned snapshot (its cached
+    /// table), on the live store (a table per call) and over the flat
+    /// `read_all()` tokens with the cursor's ids.
+    fn assert_agree(store: &XmlStore, paths: &[String]) -> Result<(), TestCaseError> {
+        let pin = store.epoch_registry().pin().unwrap();
+        let flat: Vec<(Option<NodeId>, Token)> = store.read().map(|r| r.unwrap()).collect();
+        let tokens: Vec<Token> = flat.iter().map(|(_, t)| t.clone()).collect();
+        for text in paths {
+            let path = compile(text).unwrap();
+            let on_snapshot = evaluate_store(&*pin, &path).unwrap();
+            let on_store = evaluate_store(store, &path).unwrap();
+            let on_tokens: Vec<(Option<NodeId>, Vec<Token>)> = evaluate(&tokens, &path)
+                .into_iter()
+                .map(|m| {
+                    (
+                        flat[m.token_start].0,
+                        tokens[m.token_start..=m.token_end].to_vec(),
+                    )
+                })
+                .collect();
+            prop_assert_eq!(&on_snapshot, &on_store, "snapshot vs live store: {}", text);
+            prop_assert_eq!(
+                &on_snapshot,
+                &on_tokens,
+                "snapshot vs flat tokens: {}",
+                text
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        #[test]
+        fn snapshot_live_store_and_flat_tokens_agree(
+            children in proptest::collection::vec(tree(), 1..5),
+            writes in proptest::collection::vec(write(), 0..5),
+            paths in proptest::collection::vec(path(), 6..10),
+        ) {
+            // Small ranges put the document in many runs; the writes leave
+            // their id intervals out of document order.
+            let mut store = StoreBuilder::new()
+                .policy(IndexingPolicy::RangeOnly { target_range_bytes: 64 })
+                .build()
+                .unwrap();
+            let mut doc = vec![Token::begin_element("r")];
+            doc.extend(children.into_iter().flatten());
+            doc.push(Token::EndElement);
+            let root = store.bulk_insert(doc).unwrap().start;
+            store.commit().unwrap();
+            assert_agree(&store, &paths)?;
+            for w in &writes {
+                apply(&mut store, root, w);
+                assert_agree(&store, &paths)?;
+            }
+        }
+    }
+}

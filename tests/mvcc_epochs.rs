@@ -7,7 +7,7 @@
 
 use adaptive_xml_storage::prelude::*;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 fn fragment(text: &str) -> Vec<Token> {
@@ -111,11 +111,13 @@ fn concurrent_readers_pin_across_writer_commits() {
     store.commit().unwrap();
     let registry = store.epoch_registry();
     let stop = Arc::new(AtomicBool::new(false));
+    let progress = Arc::new(AtomicU64::new(0));
 
     let readers: Vec<_> = (0..READERS)
         .map(|_| {
             let registry = registry.clone();
             let stop = stop.clone();
+            let progress = progress.clone();
             std::thread::spawn(move || {
                 let mut reads = 0u64;
                 while !stop.load(Ordering::Relaxed) {
@@ -126,6 +128,7 @@ fn concurrent_readers_pin_across_writer_commits() {
                     assert!(!tokens.is_empty());
                     assert!(pin.contains(root));
                     reads += 1;
+                    progress.fetch_add(1, Ordering::Relaxed);
                 }
                 reads
             })
@@ -133,7 +136,18 @@ fn concurrent_readers_pin_across_writer_commits() {
         .collect();
 
     let mut children: VecDeque<NodeId> = VecDeque::new();
-    for _ in 0..WRITER_COMMITS {
+    let mut seen = 0;
+    for i in 0..WRITER_COMMITS {
+        if i % 100 == 0 {
+            // Force the overlap: some reader completes a read between every
+            // 100 commits (a fast writer could otherwise finish first).
+            while progress.load(Ordering::Relaxed) == seen
+                && !readers.iter().any(|r| r.is_finished())
+            {
+                std::thread::yield_now();
+            }
+            seen = progress.load(Ordering::Relaxed);
+        }
         let iv = store.insert_into_last(root, fragment("w")).unwrap();
         children.push_back(iv.start);
         if children.len() > 8 {
@@ -156,4 +170,43 @@ fn concurrent_readers_pin_across_writer_commits() {
     // Epoch 1 is published at build, epoch 2 by the seed commit; each
     // writer commit adds one.
     assert_eq!(stats.current_epoch, WRITER_COMMITS as u64 + 2);
+}
+
+/// A snapshot builds its node table once, on the first query that pins
+/// the epoch: 50 XPath/FLWOR queries on one pin raise `tables_built` by
+/// exactly 1, a commit plus one query by exactly 1 more, and point reads
+/// never build one.
+#[test]
+fn one_node_table_per_queried_epoch() {
+    let mut store = StoreBuilder::new().build().unwrap();
+    let root = store.bulk_insert(fragment("seed")).unwrap().start;
+    store.commit().unwrap();
+    let registry = store.epoch_registry();
+    let built = || registry.stats().tables_built;
+    let path = compile("//e").unwrap();
+    let flwor = parse_flwor("for $e in //e return { $e }").unwrap();
+    assert_eq!(built(), 0, "publishing builds no table");
+
+    let pin = registry.pin().unwrap();
+    assert_eq!(pin.read_node(root).unwrap(), fragment("seed"));
+    assert_eq!(built(), 0, "a point read builds no table");
+    for i in 0..50 {
+        let hits = if i % 2 == 0 {
+            axs_xpath::evaluate_store(&*pin, &path).unwrap().len()
+        } else {
+            evaluate_flwor(&*pin, &flwor).unwrap().len()
+        };
+        assert_eq!(hits, 1);
+    }
+    assert_eq!(built(), 1, "50 queries on one epoch build one table");
+    drop(pin);
+
+    store.insert_into_last(root, fragment("x")).unwrap();
+    store.commit().unwrap();
+    let pin = registry.pin().unwrap();
+    assert_eq!(pin.read_node(root).unwrap().len(), 6);
+    assert_eq!(built(), 1, "a point read on the new epoch builds none");
+    let hits = axs_xpath::evaluate_store(&*pin, &path).unwrap();
+    assert_eq!(hits.len(), 2);
+    assert_eq!(built(), 2, "the new epoch's first query builds its table");
 }
