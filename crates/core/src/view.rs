@@ -248,16 +248,29 @@ pub trait ReadView {
     /// Identifiers of the node's children (attributes excluded), in
     /// document order. Empty for leaf nodes.
     fn children_of(&self, id: NodeId) -> Result<Vec<NodeId>, StoreError> {
+        Ok(self
+            .children_named(id)?
+            .into_iter()
+            .map(|(kid, _)| kid)
+            .collect())
+    }
+
+    /// [`Self::children_of`] with each child's name (`None` for text,
+    /// comment and PI children), taken from the one subtree walk that
+    /// finds the children — no per-child lookup.
+    fn children_named(&self, id: NodeId) -> Result<Vec<(NodeId, Option<QName>)>, StoreError> {
         let subtree = self.view_subtree_with_ids(id)?;
         let mut out = Vec::new();
         let mut depth = 0i32;
-        for (nid, tok) in &subtree {
+        for (nid, tok) in subtree {
             let kind = tok.kind();
-            if depth == 1 {
+            if depth == 1 && kind != TokenKind::BeginAttribute {
                 if let Some(nid) = nid {
-                    if kind != TokenKind::BeginAttribute {
-                        out.push(*nid);
-                    }
+                    let name = match tok {
+                        Token::BeginElement { name, .. } => Some(name),
+                        _ => None,
+                    };
+                    out.push((nid, name));
                 }
             }
             depth += kind.depth_delta();

@@ -8,10 +8,15 @@ pub struct ServerConfig {
     /// Listen address; port 0 picks an ephemeral port (the bound address
     /// is reported by [`crate::ServerHandle::local_addr`]).
     pub addr: String,
-    /// Worker threads executing requests against the store.
+    /// Worker threads executing requests against the store. `Ping` and,
+    /// with [`mvcc`](Self::mvcc) on, the point reads (`ReadNode`, `Value`,
+    /// `Children`, `Parent`) never use a worker: they take no lock and run
+    /// on the session thread that decoded them.
     pub workers: usize,
     /// Requests that may wait for a worker before new ones are rejected
-    /// with a typed `Busy` error instead of queueing unboundedly.
+    /// with a typed `Busy` error instead of queueing unboundedly. Inline
+    /// requests (see [`workers`](Self::workers)) never queue, so never
+    /// get `Busy`.
     pub queue_depth: usize,
     /// Concurrent connections admitted; excess connections receive a
     /// `Busy` error at the handshake and are closed.
@@ -24,7 +29,9 @@ pub struct ServerConfig {
     /// is still executing (its result is discarded) and may yet commit,
     /// so a retry must reconnect rather than race it on the same session.
     /// For mutating opcodes a timeout therefore means *ambiguous outcome*
-    /// (at-least-once), exactly as with a dropped connection.
+    /// (at-least-once), exactly as with a dropped connection. Inline
+    /// requests (see [`workers`](Self::workers)) have no worker to wait
+    /// for and are not subject to it.
     pub request_timeout: Duration,
     /// Honor the `Sleep` opcode (holds a worker; integration tests use it
     /// to fill the queue deterministically). Off in production.

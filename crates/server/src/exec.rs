@@ -331,6 +331,23 @@ impl Engine {
         )
     }
 
+    /// Opcodes the server runs on the session thread that decoded them
+    /// instead of handing them to the worker pool: `Ping`, and — with MVCC
+    /// on — the four point reads. Those take no lock (they pin the current
+    /// epoch, see [`Self::snapshot_read`]), so they can never wait on a
+    /// writer, and their work is O(node). Everything else may block or run
+    /// long and stays on the pool, under `workers`, `queue_depth` and
+    /// `request_timeout`; queries and scans are snapshot reads too, but
+    /// they are O(document).
+    pub(crate) fn runs_inline(&self, opcode: OpCode) -> bool {
+        use OpCode::*;
+        match opcode {
+            Ping => true,
+            ReadNode | Value | Children | Parent => self.mvcc,
+            _ => false,
+        }
+    }
+
     /// Default entry count for an on-demand flight-recorder dump.
     const DUMP_DEFAULT_LIMIT: usize = 64;
 
@@ -769,16 +786,12 @@ impl Engine {
             Children => {
                 let node = NodeId(r.u64()?);
                 r.finish()?;
-                let kids = view.children_of(node)?;
+                let kids = view.children_named(node)?;
                 let mut p = Vec::new();
                 put_u32(&mut p, kids.len() as u32);
-                for kid in kids {
+                for (kid, name) in kids {
                     put_u64(&mut p, kid.get());
-                    let name = view
-                        .name_of(kid)?
-                        .map(|q| q.to_lexical())
-                        .unwrap_or_default();
-                    put_str(&mut p, &name);
+                    put_str(&mut p, &name.map(|q| q.to_lexical()).unwrap_or_default());
                 }
                 vec![Frame::done(id, op, p)]
             }

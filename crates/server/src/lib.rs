@@ -17,11 +17,16 @@
 //!
 //! ```text
 //! accept loop ─→ session thread (frame I/O, timeouts, backpressure)
-//!                   │  bounded queue (Busy beyond the limit)
+//!                   │   │
+//!                   │   └─→ inline: Ping, and with MVCC the point reads
+//!                   │       (ReadNode / Value / Children / Parent) on a
+//!                   │       pinned snapshot — no lock, no queue
+//!                   │  everything else: bounded queue (Busy beyond the limit)
 //!                   ▼
 //!                worker pool ─→ exec: hierarchical locks (S readers /
 //!                               X writers per range subtree) around the
-//!                               shared store, results streamed back
+//!                               shared store, or a pinned snapshot for
+//!                               queries and scans; results streamed back
 //! ```
 //!
 //! Graceful shutdown (SIGTERM, Ctrl-C, or the `Shutdown` opcode) drains

@@ -6,18 +6,26 @@
 //! - one accept thread owns the listener and spawns a session thread per
 //!   admitted connection (a connection cap rejects the excess with `Busy`);
 //! - each session thread reads frames (via a resumable decoder, so a read
-//!   timeout mid-frame never desynchronizes the stream), answers protocol
-//!   errors itself, and hands well-formed requests to the bounded worker
-//!   pool with a response channel — a full queue answers `Busy`, a lapsed
-//!   request window answers `Timeout` and then closes the connection (the
-//!   worker may still be running; a retry must not race it);
+//!   timeout mid-frame never desynchronizes the stream) and answers
+//!   protocol errors itself;
+//! - requests that can never wait and do O(node) work — `Ping`, and with
+//!   MVCC on the lock-free point reads `ReadNode`, `Value`, `Children`,
+//!   `Parent` — execute right there on the session thread: no queue, no
+//!   thread hand-off, and so never `Busy` or `Timeout`;
+//! - every other well-formed request goes to the bounded worker pool with
+//!   a response channel — a full queue answers `Busy`, a lapsed request
+//!   window answers `Timeout` and then closes the connection (the worker
+//!   may still be running; a retry must not race it);
+//! - both paths run the same [`execute`], so a request is traced and
+//!   counted identically wherever it ran (an inline one records a ~0 µs
+//!   queue wait);
 //! - shutdown (handle, `Shutdown` opcode, or signal via the CLI) flips one
 //!   flag; sessions and the accept loop notice within their poll tick,
 //!   drain, and the store is flushed through the WAL last, once no worker
-//!   can touch it.
+//!   or session can touch it.
 
 use crate::config::ServerConfig;
-use crate::exec::Engine;
+use crate::exec::{DispatchOutcome, Engine};
 use crate::metrics::EngineMetrics;
 use crate::pool::{SubmitError, WorkerPool};
 use crate::stats::ServerStats;
@@ -424,12 +432,15 @@ fn read_hello_polled(
     wire::read_hello(&mut &hello[..])
 }
 
-/// Dispatches one request through the pool and writes the response.
-/// Returns `false` when the connection should close.
+/// Runs one request and writes the response: inline on this session
+/// thread when the engine says the opcode [runs inline](Engine::runs_inline),
+/// through the worker pool otherwise. Returns `false` when the connection
+/// should close.
 fn answer(req: &Frame, shared: &Arc<Shared>, writer: &mut BufWriter<TcpStream>) -> bool {
+    let opcode = OpCode::from_u8(req.opcode);
     // Shutdown runs inline: it must not be dropped by a full queue, and
     // its only work is flipping the flag.
-    if OpCode::from_u8(req.opcode) == Some(OpCode::Shutdown) {
+    if opcode == Some(OpCode::Shutdown) {
         let outcome = shared.engine.dispatch(req);
         let ok = write_all_frames(writer, &outcome.frames);
         shared.request_shutdown();
@@ -443,98 +454,103 @@ fn answer(req: &Frame, shared: &Arc<Shared>, writer: &mut BufWriter<TcpStream>) 
         return false;
     }
 
+    let enqueued = Instant::now();
+    let outcome = if opcode.is_some_and(|op| shared.engine.runs_inline(op)) {
+        execute(shared, req, enqueued)
+    } else {
+        match run_pooled(req, shared, enqueued) {
+            Ok(outcome) => outcome,
+            Err((code, message, keep_open)) => {
+                let sent = wire::write_frame(writer, &error_frame(req, code, message)).is_ok();
+                return sent && keep_open;
+            }
+        }
+    };
+    let ok = write_all_frames(writer, &outcome.frames);
+    if outcome.shutdown {
+        shared.request_shutdown();
+    }
+    ok
+}
+
+/// Executes one request on the calling thread — a pool worker, or the
+/// session thread for inline opcodes — inside its trace (begin → queue
+/// wait since `enqueued` → instrumented dispatch → finish), then records
+/// it in the request metrics. Instrumentation records only while that
+/// trace is open, so an untraced server's requests record nothing.
+fn execute(shared: &Shared, req: &Frame, enqueued: Instant) -> DispatchOutcome {
+    if shared.config.trace {
+        let layers = shared.engine.metrics().layers.clone();
+        axs_obs::trace_begin(axs_obs::next_trace_id(), req.opcode, layers);
+        axs_obs::probe(axs_obs::EventKind::QueueWait, Some(enqueued), 0, 0);
+    }
+    let outcome = shared.engine.dispatch(req);
+    let trace = axs_obs::trace_finish();
+    let ok = outcome
+        .frames
+        .iter()
+        .all(|f| Status::from_u8(f.status) != Some(Status::Err));
+    let bytes: u64 = outcome.frames.iter().map(|f| f.payload.len() as u64).sum();
+    shared.engine.metrics().finish_request(
+        req.opcode,
+        &shared.engine.store_label(req.store),
+        req.store,
+        ok,
+        bytes,
+        enqueued.elapsed(),
+        trace,
+    );
+    outcome
+}
+
+/// Hands `req` to the worker pool and waits up to `request_timeout` for
+/// its outcome. `Err` is the session's own answer instead — error code,
+/// message, and whether the connection stays open after it.
+fn run_pooled(
+    req: &Frame,
+    shared: &Arc<Shared>,
+    enqueued: Instant,
+) -> Result<DispatchOutcome, (ErrorCode, &'static str, bool)> {
+    const SHUTTING_DOWN: (ErrorCode, &str, bool) =
+        (ErrorCode::ShuttingDown, "server is shutting down", false);
     let (tx, rx) = mpsc::channel();
     let job_req = req.clone();
     let job_shared = shared.clone();
-    // Trace identity is fixed at frame decode time; the worker thread owns
-    // the trace itself (begin → instrumented dispatch → finish), since the
-    // whole request executes on it. Instrumentation records only while
-    // that trace is open, so an untraced server's requests record nothing.
-    let trace_id = axs_obs::next_trace_id();
-    let enqueued = Instant::now();
     let submitted = shared.pool.try_submit(Box::new(move || {
-        if job_shared.config.trace {
-            let layers = job_shared.engine.metrics().layers.clone();
-            axs_obs::trace_begin(trace_id, job_req.opcode, layers);
-            axs_obs::probe(axs_obs::EventKind::QueueWait, Some(enqueued), 0, 0);
-        }
-        let outcome = job_shared.engine.dispatch(&job_req);
-        let trace = axs_obs::trace_finish();
-        let store_label = job_shared.engine.store_label(job_req.store);
-        let ok = outcome
-            .frames
-            .iter()
-            .all(|f| Status::from_u8(f.status) != Some(Status::Err));
-        let bytes: u64 = outcome.frames.iter().map(|f| f.payload.len() as u64).sum();
-        job_shared.engine.metrics().finish_request(
-            job_req.opcode,
-            &store_label,
-            job_req.store,
-            ok,
-            bytes,
-            enqueued.elapsed(),
-            trace,
-        );
         // The session may have timed out and moved on; a dead channel
         // just discards the result.
-        let _ = tx.send(outcome);
+        let _ = tx.send(execute(&job_shared, &job_req, enqueued));
     }));
     match submitted {
         Ok(()) => {}
         Err(SubmitError::Full) => {
             ServerStats::bump(&shared.stats.busy_rejections);
-            return wire::write_frame(
-                writer,
-                &error_frame(req, ErrorCode::Busy, "worker queue full; retry"),
-            )
-            .is_ok();
+            return Err((ErrorCode::Busy, "worker queue full; retry", true));
         }
-        Err(SubmitError::Closed) => {
-            let _ = wire::write_frame(
-                writer,
-                &error_frame(req, ErrorCode::ShuttingDown, "server is shutting down"),
-            );
-            return false;
-        }
+        Err(SubmitError::Closed) => return Err(SHUTTING_DOWN),
     }
-
-    match rx.recv_timeout(shared.config.request_timeout) {
-        Ok(outcome) => {
-            let ok = write_all_frames(writer, &outcome.frames);
-            if outcome.shutdown {
-                shared.request_shutdown();
-            }
-            ok
-        }
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            ServerStats::bump(&shared.stats.timeouts);
-            // The worker is still executing and may yet commit its effects
-            // (its result lands in the dropped channel). Keeping the
-            // connection open would let the client's next request — e.g. a
-            // retry of this one — run concurrently with it, breaking the
-            // one-request-per-connection invariant server-side and
-            // risking duplicate writes. Answer Timeout, then close: a
-            // retry must reconnect, and for mutating opcodes the
-            // timed-out request's outcome is ambiguous (at-least-once).
-            let _ = wire::write_frame(
-                writer,
-                &error_frame(
-                    req,
+    rx.recv_timeout(shared.config.request_timeout)
+        .map_err(|e| match e {
+            mpsc::RecvTimeoutError::Timeout => {
+                ServerStats::bump(&shared.stats.timeouts);
+                // The worker is still executing and may yet commit its
+                // effects (its result lands in the dropped channel).
+                // Keeping the connection open would let the client's next
+                // request — e.g. a retry of this one — run concurrently
+                // with it, breaking the one-request-per-connection
+                // invariant server-side and risking duplicate writes.
+                // Answer Timeout, then close: a retry must reconnect, and
+                // for mutating opcodes the timed-out request's outcome is
+                // ambiguous (at-least-once).
+                (
                     ErrorCode::Timeout,
                     "request exceeded the server's request timeout; connection closing",
-                ),
-            );
-            false
-        }
-        Err(mpsc::RecvTimeoutError::Disconnected) => {
+                    false,
+                )
+            }
             // Worker pool shut down mid-request.
-            let _ = wire::write_frame(
-                writer,
-                &error_frame(req, ErrorCode::ShuttingDown, "server is shutting down"),
-            );
-            false
-        }
-    }
+            mpsc::RecvTimeoutError::Disconnected => SHUTTING_DOWN,
+        })
 }
 
 /// A session-level error frame (busy, timeout, shutdown…) echoing the

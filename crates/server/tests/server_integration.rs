@@ -209,41 +209,50 @@ fn concurrent_mixed_workload_matches_shadow_store() {
     handle.join().unwrap();
 }
 
-/// A full worker queue answers `Busy` instead of hanging the caller.
-#[test]
-fn backpressure_returns_busy_not_hang() {
-    let handle = start_in_memory(ServerConfig {
+/// Holds the one worker and the one queue slot of a [`saturable`] server
+/// with 600 ms sleeps from two connections, and runs `probe` on a third
+/// while they hold (it starts ~300 ms in, so it has ~300 ms).
+fn with_saturated_pool(handle: &ServerHandle, probe: impl FnOnce(&mut Client)) {
+    std::thread::scope(|scope| {
+        // Occupy the single worker, then fill the one queue slot.
+        for _ in 0..2 {
+            let addr = handle.local_addr();
+            scope.spawn(move || {
+                let mut c = Client::connect(addr).unwrap();
+                c.sleep(600).unwrap();
+            });
+            std::thread::sleep(Duration::from_millis(150));
+        }
+        let mut c = connect(handle);
+        c.set_timeout(Some(Duration::from_secs(5))).unwrap();
+        probe(&mut c);
+    });
+}
+
+fn saturable(mvcc: bool) -> ServerConfig {
+    ServerConfig {
         workers: 1,
         queue_depth: 1,
         debug_sleep: true,
+        mvcc,
         ..ServerConfig::default()
-    });
+    }
+}
 
-    std::thread::scope(|scope| {
-        // Occupy the single worker...
-        let addr = handle.local_addr();
-        scope.spawn(move || {
-            let mut c = Client::connect(addr).unwrap();
-            c.sleep(600).unwrap();
-        });
-        std::thread::sleep(Duration::from_millis(150));
-        // ...fill the one queue slot...
-        let addr = handle.local_addr();
-        scope.spawn(move || {
-            let mut c = Client::connect(addr).unwrap();
-            c.sleep(600).unwrap();
-        });
-        std::thread::sleep(Duration::from_millis(150));
-        // ...and the next request must come back Busy, promptly.
-        let mut c = connect(&handle);
-        c.set_timeout(Some(Duration::from_secs(5))).unwrap();
-        let err = c.ping().unwrap_err();
+/// A full worker queue answers `Busy` instead of hanging the caller.
+#[test]
+fn backpressure_returns_busy_not_hang() {
+    let handle = start_in_memory(saturable(true));
+
+    // A pooled request must come back Busy, promptly.
+    with_saturated_pool(&handle, |c| {
+        let err = c.stats().unwrap_err();
         assert!(err.is_busy(), "expected Busy, got {err}");
     });
 
     // After the sleepers drain, the server serves normally again.
     let mut c = connect(&handle);
-    c.ping().unwrap();
+    c.stats().unwrap();
     assert!(
         handle
             .stats()
@@ -251,6 +260,66 @@ fn backpressure_returns_busy_not_hang() {
             .load(std::sync::atomic::Ordering::Relaxed)
             >= 1
     );
+
+    handle.shutdown();
+    handle.join().unwrap();
+}
+
+/// `Ping` and the lock-free snapshot point reads run on the session
+/// thread, not the pool: with every worker and queue slot held, they still
+/// answer correctly and promptly, while a pooled opcode gets `Busy`.
+#[test]
+fn saturated_pool_still_answers_lock_free_reads() {
+    let handle = start_in_memory(saturable(true));
+    let mut setup = connect(&handle);
+    let (root, _) = setup.bulk_load("<a><b>x</b>y<c/></a>").unwrap();
+    let (b, c_node) = (root + 1, root + 4);
+
+    with_saturated_pool(&handle, |c| {
+        fn prompt<T>(what: &str, call: impl FnOnce() -> T) -> T {
+            let started = std::time::Instant::now();
+            let out = call();
+            let took = started.elapsed();
+            assert!(took < Duration::from_millis(100), "{what} took {took:?}");
+            out
+        }
+        prompt("ping", || c.ping()).unwrap();
+        assert_eq!(prompt("read_node", || c.read_node(b)).unwrap(), "<b>x</b>");
+        assert_eq!(
+            prompt("string_value", || c.string_value(root)).unwrap(),
+            "xy"
+        );
+        assert_eq!(
+            prompt("children", || c.children(root)).unwrap(),
+            [
+                (b, "b".to_string()),
+                (root + 3, String::new()),
+                (c_node, "c".to_string())
+            ]
+        );
+        assert_eq!(prompt("parent", || c.parent(c_node)).unwrap(), Some(root));
+
+        let err = c.stats().unwrap_err();
+        assert!(err.is_busy(), "stats is pooled: expected Busy, got {err}");
+    });
+
+    handle.shutdown();
+    handle.join().unwrap();
+}
+
+/// With MVCC off the point reads take locks, so they stay on the pool and
+/// a saturated pool answers them `Busy`.
+#[test]
+fn locked_point_reads_stay_pooled() {
+    let handle = start_in_memory(saturable(false));
+    let mut setup = connect(&handle);
+    let (root, _) = setup.bulk_load("<a><b/></a>").unwrap();
+
+    with_saturated_pool(&handle, |c| {
+        c.ping().unwrap();
+        let err = c.read_node(root).unwrap_err();
+        assert!(err.is_busy(), "expected Busy, got {err}");
+    });
 
     handle.shutdown();
     handle.join().unwrap();
