@@ -35,16 +35,14 @@
 //! a fresh one — a stale id from before a drop surfaces as a typed
 //! [`CatalogError::UnknownStore`] instead of silently writing into the
 //! successor store. Every open store is a [`StoreSlot`] carrying its own
-//! physical `RwLock<XmlStore>` *and* its own hierarchical [`LockManager`],
-//! so sessions on different stores never contend on any lock, logical or
-//! physical.
+//! `RwLock<XmlStore>` — the one arbiter of that store's writes — and its
+//! own epoch registry, so sessions on different stores never contend.
 //!
 //! Legacy roots (a bare single-store directory with `data.pages` at top
 //! level) are adopted as the `default` store in place, so pre-catalog data
 //! directories keep working unchanged.
 
 use axs_core::{StoreBuilder, StoreError, XmlStore};
-use axs_lock::LockManager;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::fmt;
@@ -161,25 +159,23 @@ impl CatalogConfig {
     }
 }
 
-/// One open store: the physical store behind its reader-writer lock plus
-/// its own hierarchical lock manager. Requests on different slots share
-/// nothing, so sessions on different stores never contend.
+/// One open store: the store behind its reader-writer lock plus its MVCC
+/// epoch registry. Requests on different slots share nothing, so sessions
+/// on different stores never contend.
 pub struct StoreSlot {
     /// The store's catalog name.
     pub name: String,
     /// The store's process-lifetime id (what the wire protocol routes by).
     pub id: u16,
-    /// Physical access: shared for read opcodes, exclusive for writes. The
-    /// write guard is the only physical arbiter of a write — it mutates,
-    /// seals its WAL batch and publishes its epoch under it
-    /// (`XmlStore::commit`), then waits for the group fsync without it.
+    /// Shared for reads that pin no snapshot, exclusive for writes. The
+    /// write guard is the only arbiter of a write — it mutates, seals its
+    /// WAL batch and publishes its epoch under it (`XmlStore::commit`),
+    /// then waits for the group fsync without it.
     pub store: RwLock<XmlStore>,
-    /// This store's own logical lock hierarchy (store / block / range).
-    pub locks: LockManager,
     /// The store's MVCC epoch registry, shared with the store itself:
-    /// sessions pin read snapshots here without touching `store` or
-    /// `locks`, and pinned snapshots stay readable even if the catalog
-    /// evicts (flushes and closes) the store underneath them.
+    /// sessions pin read snapshots here without touching `store`, and
+    /// pinned snapshots stay readable even if the catalog evicts (flushes
+    /// and closes) the store underneath them.
     pub epochs: Arc<axs_core::EpochRegistry>,
     /// LRU stamp maintained by [`Catalog::slot_by_id`].
     last_used: AtomicU64,
@@ -192,7 +188,6 @@ impl StoreSlot {
             name,
             id,
             store: RwLock::new(store),
-            locks: LockManager::new(),
             epochs,
             last_used: AtomicU64::new(0),
         })

@@ -45,10 +45,9 @@ pub fn render_dashboard(
     );
     let _ = writeln!(
         out,
-        "errors: busy {}  timeouts {}  deadlocks {}  protocol {}   slow requests {}",
+        "errors: busy {}  timeouts {}  protocol {}   slow requests {}",
         get(cur, "server.busy_rejections"),
         get(cur, "server.timeouts"),
-        get(cur, "server.deadlocks"),
         get(cur, "server.protocol_errors"),
         get(cur, "obs.slow_requests"),
     );
@@ -166,9 +165,8 @@ pub fn render_dashboard(
     );
     let _ = writeln!(
         out,
-        "waits p99: queue {}us   lock {}us   group-commit {}us   wal append {}us",
+        "waits p99: queue {}us   group-commit {}us   wal append {}us",
         get(cur, "obs.queue_wait_us.p99_us"),
-        get(cur, "obs.lock_wait_us.p99_us"),
         get(cur, "obs.group_commit_wait_us.p99_us"),
         get(cur, "obs.wal_append_us.p99_us"),
     );

@@ -116,7 +116,7 @@ fn path_name(code: u8) -> &'static str {
 
 /// One per-stage event inside an [`ExplainReport`] — a span or point
 /// event the traced request recorded (labels match the slow-log format:
-/// `queue_wait`, `lock_wait`, `lookup_partial`, `lookup_range_scan`, …).
+/// `queue_wait`, `execute`, `lookup_partial`, `lookup_range_scan`, …).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExplainEvent {
     /// Stable event label.
@@ -127,30 +127,27 @@ pub struct ExplainEvent {
     pub at_us: u64,
     /// Duration, microseconds (0 for point events).
     pub dur_us: u64,
-    /// Event-specific payload (node id, token count, lock mode, …).
+    /// Event-specific payload (node id, token count, …).
     pub a: u64,
     /// Event-specific payload.
     pub b: u64,
 }
 
 /// The structured plan trace an `Explain` request returns: which of the
-/// three paper lookup paths fired, the MVCC and locking context, the
-/// per-stage timings, and the adaptive-index decisions the request
+/// three paper lookup paths fired, the MVCC context, the per-stage
+/// timings, and the adaptive-index decisions the request
 /// triggered.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExplainReport {
     /// Lookup-path verdict: `none`, `partial`, `full`, `scan` or `mixed`.
     pub path: String,
     /// True when a normal (non-explain) execution of this request would
-    /// have run lock-free against an MVCC snapshot instead; explain
-    /// always runs the locked/live path, because only the live store
-    /// exercises the three paper lookup paths.
+    /// have read an MVCC snapshot instead; explain always runs against
+    /// the live store, because only it exercises the three paper lookup
+    /// paths.
     pub would_snapshot: bool,
     /// Current epoch at execution time.
     pub epoch: u64,
-    /// Strongest lock mode the request took (`S`, `X`, `IS`, `IX`), or
-    /// `None` when it ran without locks.
-    pub lock_mode: Option<String>,
     /// Wall time of the explained execution, microseconds.
     pub total_us: u64,
     /// Result cardinality (1 for a node lookup, rows for a query).
@@ -167,10 +164,9 @@ impl ExplainReport {
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = format!(
-            "path={} epoch={} lock={} total={}us results={}{}\n",
+            "path={} epoch={} total={}us results={}{}\n",
             self.path,
             self.epoch,
-            self.lock_mode.as_deref().unwrap_or("none"),
             self.total_us,
             self.result_count,
             if self.would_snapshot {
@@ -514,7 +510,7 @@ impl Client {
         })
     }
 
-    /// Counter snapshot (store + pools + locks + server), as named pairs
+    /// Counter snapshot (store + pools + epochs + server), as named pairs
     /// in server-defined order.
     pub fn stats(&mut self) -> Result<Vec<StatEntry>, ClientError> {
         let out = self.roundtrip(OpCode::Stats, Vec::new())?;
@@ -620,13 +616,6 @@ impl Client {
         let path = path_name(r.u8()?).to_string();
         let would_snapshot = r.u8()? != 0;
         let epoch = r.u64()?;
-        let lock_mode = match r.u8()? {
-            0 => Some("S".to_string()),
-            1 => Some("X".to_string()),
-            2 => Some("IS".to_string()),
-            3 => Some("IX".to_string()),
-            _ => None,
-        };
         let total_us = r.u64()?;
         let result_count = r.u64()?;
         let n = r.u32()? as usize;
@@ -657,7 +646,6 @@ impl Client {
             path,
             would_snapshot,
             epoch,
-            lock_mode,
             total_us,
             result_count,
             events,
@@ -665,8 +653,8 @@ impl Client {
         })
     }
 
-    /// Explains a node lookup: executes `read_node(id)` on the locked/live
-    /// path and returns its plan trace instead of the subtree.
+    /// Explains a node lookup: executes `read_node(id)` against the live
+    /// store and returns its plan trace instead of the subtree.
     pub fn explain_node(&mut self, id: u64) -> Result<ExplainReport, ClientError> {
         let mut t = Vec::new();
         put_u64(&mut t, id);

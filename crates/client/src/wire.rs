@@ -114,15 +114,14 @@ pub enum OpCode {
     /// Resolve a store name for this connection: `str name` → `u16 id`.
     /// The client stamps the returned id into subsequent frame headers.
     UseStore = 28,
-    /// Execute a request on the locked/live path and return its plan
+    /// Execute a request against the live store and return its plan
     /// trace instead of its result. Request: `u8 kind` then the target —
     /// kind 0 = node lookup (`u64 id`), 1 = XPath (`str path`),
     /// 2 = FLWOR (`str query`). Response: `u8 path_code,
-    /// u8 would_snapshot, u64 epoch, u8 lock_mode, u64 total_us,
-    /// u64 result_count, u32 n × (str label, u8 depth, u64 at_us,
-    /// u64 dur_us, u64 a, u64 b), u32 m × str decision` — the lookup-path
-    /// verdict, MVCC context, strongest lock mode (255 = none), per-stage
-    /// events, and the adaptive decisions the request triggered.
+    /// u8 would_snapshot, u64 epoch, u64 total_us, u64 result_count,
+    /// u32 n × (str label, u8 depth, u64 at_us, u64 dur_us, u64 a, u64 b),
+    /// u32 m × str decision` — the lookup-path verdict, MVCC context,
+    /// per-stage events, and the adaptive decisions the request triggered.
     Explain = 29,
     /// Dump the flight recorder: `u64 limit` (0 = default) → `str dump`.
     /// Also writes the dump to the server's stderr. Ignores the header's
@@ -204,9 +203,8 @@ pub enum ErrorCode {
     Parse = 2,
     /// The store rejected the operation (missing node, corruption, I/O).
     Store = 3,
-    /// The lock manager chose this request as a deadlock victim; safe to
-    /// retry.
-    Lock = 4,
+    // 4 is reserved: it was a lock-manager deadlock victim, and servers
+    // no longer take logical locks. Decodes as `None`.
     /// The worker queue is full; back off and retry.
     Busy = 5,
     /// The request exceeded the server's request timeout.
@@ -232,7 +230,6 @@ impl ErrorCode {
             1 => Protocol,
             2 => Parse,
             3 => Store,
-            4 => Lock,
             5 => Busy,
             6 => Timeout,
             7 => Unsupported,
@@ -251,7 +248,6 @@ impl fmt::Display for ErrorCode {
             ErrorCode::Protocol => "protocol",
             ErrorCode::Parse => "parse",
             ErrorCode::Store => "store",
-            ErrorCode::Lock => "lock",
             ErrorCode::Busy => "busy",
             ErrorCode::Timeout => "timeout",
             ErrorCode::Unsupported => "unsupported",
@@ -830,6 +826,7 @@ mod tests {
         }
         assert_eq!(ErrorCode::from_u16(10), Some(ErrorCode::UnknownStore));
         assert_eq!(ErrorCode::from_u16(11), Some(ErrorCode::StoreExists));
+        assert_eq!(ErrorCode::from_u16(4), None, "4 is reserved");
         assert_eq!(ErrorCode::UnknownStore.to_string(), "unknown-store");
     }
 }

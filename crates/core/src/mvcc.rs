@@ -5,8 +5,8 @@
 //! successful commit publishes a frozen [`Snapshot`] of the range chain
 //! (epoch N+1), readers [`EpochRegistry::pin`] whatever epoch is current at
 //! dispatch and run entirely against that snapshot — no store lock, no
-//! hierarchical locks, no buffer-pool traffic — and an epoch is *retired*
-//! once it is neither current nor pinned by any reader.
+//! buffer-pool traffic — and an epoch is *retired* once it is neither
+//! current nor pinned by any reader.
 //!
 //! Snapshots are copy-on-write at range granularity: a commit only
 //! re-decodes the ranges the write batch actually touched (the store's
@@ -18,8 +18,8 @@
 //! visibility-before-durability contract: `commit()` appends the batch to
 //! the WAL, obtains its [`CommitTicket`](axs_storage::CommitTicket), then
 //! publishes the snapshot — so an epoch becomes visible exactly when the
-//! writer's changes become visible to locked readers, and a crash before
-//! the group fsync erases the epoch together with the batch (recovery
+//! writer's changes become visible to live-store readers, and a crash
+//! before the group fsync erases the epoch together with the batch (recovery
 //! replays the committed prefix; see the crash-matrix tests).
 
 use crate::error::StoreError;

@@ -100,32 +100,6 @@ pub struct LockStats {
     /// Shared (S/IS) requests granted with their whole intention path in
     /// one step by the fast path — the common case for read traffic.
     pub fast_shared_grants: u64,
-    /// Reads that skipped the lock hierarchy entirely because they ran
-    /// against a pinned MVCC snapshot — they never touched the manager
-    /// beyond this counter, so they can neither wait nor deadlock.
-    pub snapshot_bypasses: u64,
-}
-
-/// Encodes a lock mode into an observability event's `a` field (the
-/// mapping `axs_obs::EventKind::lock_mode_name` decodes).
-fn obs_mode_code(mode: LockMode) -> u64 {
-    match mode {
-        LockMode::S => 0,
-        LockMode::X => 1,
-        LockMode::IS => 2,
-        LockMode::IX => 3,
-    }
-}
-
-/// Packs a resource into an observability event's `b` field: the whole
-/// store is `u64::MAX`, otherwise `block << 24 | range` (range ids above
-/// 2^24 alias, which is acceptable for a diagnostic label).
-fn obs_resource_code(resource: Resource) -> u64 {
-    match resource {
-        Resource::Store => u64::MAX,
-        Resource::Block(block) => block << 24,
-        Resource::Range { block, range } => (block << 24) | (range & 0x00ff_ffff),
-    }
 }
 
 /// The hierarchical lock manager. Cheap to share behind an `Arc`.
@@ -154,7 +128,6 @@ pub struct LockManager {
     waits: AtomicU64,
     deadlocks: AtomicU64,
     fast_shared_grants: AtomicU64,
-    snapshot_bypasses: AtomicU64,
 }
 
 impl Default for LockManager {
@@ -174,14 +147,7 @@ impl LockManager {
             waits: AtomicU64::new(0),
             deadlocks: AtomicU64::new(0),
             fast_shared_grants: AtomicU64::new(0),
-            snapshot_bypasses: AtomicU64::new(0),
         }
-    }
-
-    /// Records a read that ran against a pinned MVCC snapshot instead of
-    /// acquiring S locks (see [`LockStats::snapshot_bypasses`]).
-    pub fn note_snapshot_bypass(&self) {
-        self.snapshot_bypasses.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A snapshot of the cumulative activity counters.
@@ -191,7 +157,6 @@ impl LockManager {
             waits: self.waits.load(Ordering::Relaxed),
             deadlocks: self.deadlocks.load(Ordering::Relaxed),
             fast_shared_grants: self.fast_shared_grants.load(Ordering::Relaxed),
-            snapshot_bypasses: self.snapshot_bypasses.load(Ordering::Relaxed),
         }
     }
 
@@ -211,18 +176,6 @@ impl LockManager {
     /// overhead. Any conflict anywhere on the path falls back to the
     /// general level-by-level path with its waiting and deadlock checks.
     pub fn lock(&self, tx: TxId, resource: Resource, mode: LockMode) -> Result<(), LockError> {
-        let probe = axs_obs::probe_start();
-        let result = self.lock_inner(tx, resource, mode);
-        axs_obs::probe(
-            axs_obs::EventKind::LockWait,
-            probe,
-            obs_mode_code(mode),
-            obs_resource_code(resource),
-        );
-        result
-    }
-
-    fn lock_inner(&self, tx: TxId, resource: Resource, mode: LockMode) -> Result<(), LockError> {
         if matches!(mode, LockMode::S | LockMode::IS) && self.try_fast_shared(tx, resource, mode) {
             return Ok(());
         }

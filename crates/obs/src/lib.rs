@@ -6,8 +6,8 @@
 //! * [`hist`] — log-bucketed (power-of-two) atomic latency histograms
 //!   with mergeable snapshots and clamped percentile math.
 //! * [`trace`] — per-request span traces: a thread-local context begun by
-//!   the server worker, fed by instrumentation points in the lock
-//!   manager, store and WAL, rendered as a span tree for the slow log.
+//!   the server worker, fed by instrumentation points in the store and
+//!   WAL, rendered as a span tree for the slow log.
 //!   The open trace carries its server's [`trace::LayerMetrics`]
 //!   histograms, which every instrumentation point feeds.
 //! * [`ring`] — a non-blocking most-recent-N buffer of finished traces.
@@ -15,7 +15,7 @@
 //!   compact request summaries fed on *every* request (tracing on or
 //!   off), dumped to stderr on panic, slow requests, or on demand.
 //!
-//! The `core`, `lock` and `storage` crates depend only on this crate (no
+//! The `core` and `storage` crates depend only on this crate (no
 //! server types); the server owns trace lifecycle (id allocation at frame
 //! decode, begin/finish around dispatch) and exposition (the `Metrics`
 //! opcode, slow-request log and `axs top`).

@@ -3,8 +3,8 @@
 //! that the server feeds to the slow-request log and the trace ring.
 //!
 //! The recording side is deliberately boring: one thread-local borrow,
-//! one `Vec` push, one histogram bump. Instrumented code in the lock
-//! manager, store and WAL never sees a context type — it calls the free
+//! one `Vec` push, one histogram bump. Instrumented code in the store
+//! and WAL never sees a context type — it calls the free
 //! functions here, which no-op (a single thread-local read) when no trace
 //! is open on this thread. There is no process-wide switch: a server
 //! records by opening a trace around each request, and the trace carries
@@ -29,11 +29,6 @@ pub const TRACE_EVENT_CAP: usize = 512;
 pub enum EventKind {
     /// Time between enqueue and a worker picking the request up.
     QueueWait,
-    /// One lock acquisition: `a` = mode (see [`EventKind::lock_mode_name`]),
-    /// `b` = packed resource (see `lock` crate); duration includes any wait.
-    LockWait,
-    /// The id→range mapping kept moving; degraded to a whole-store lock.
-    LockFallback,
     /// Node lookup served by the partial index: `a` = node id.
     LookupPartial,
     /// Partial-index miss on the lookup fast path: `a` = node id.
@@ -62,8 +57,6 @@ impl EventKind {
     pub fn label(self) -> &'static str {
         match self {
             EventKind::QueueWait => "queue_wait",
-            EventKind::LockWait => "lock_wait",
-            EventKind::LockFallback => "lock_fallback",
             EventKind::LookupPartial => "lookup_partial",
             EventKind::PartialMiss => "partial_miss",
             EventKind::LookupFull => "lookup_full",
@@ -74,18 +67,6 @@ impl EventKind {
             EventKind::GroupCommitWait => "group_commit_wait",
             EventKind::Execute => "execute",
             EventKind::Commit => "commit",
-        }
-    }
-
-    /// Human name for a lock mode carried in a [`EventKind::LockWait`]
-    /// event's `a` field (the encoding the `lock` crate records).
-    pub fn lock_mode_name(a: u64) -> &'static str {
-        match a {
-            0 => "S",
-            1 => "X",
-            2 => "IS",
-            3 => "IX",
-            _ => "?",
         }
     }
 }
@@ -151,14 +132,6 @@ impl FinishedTrace {
                 let _ = write!(out, " dur={}us", e.dur_us);
             }
             match e.kind {
-                EventKind::LockWait => {
-                    let _ = write!(
-                        out,
-                        " mode={} resource={:#x}",
-                        EventKind::lock_mode_name(e.a),
-                        e.b
-                    );
-                }
                 EventKind::LookupPartial | EventKind::PartialMiss | EventKind::LookupFull => {
                     let _ = write!(out, " node={}", e.a);
                 }
@@ -380,14 +353,12 @@ impl Drop for SpanGuard {
 /// Histograms fed by the instrumentation points — one per timed event
 /// kind, plus the range-scan token-count distribution. Each server owns
 /// one set and hands it to every trace it opens, so the embedded
-/// instrumentation in `core`, `lock` and `storage` (which has no server
+/// instrumentation in `core` and `storage` (which has no server
 /// to hang per-instance state on) records into the right server's set.
 #[derive(Debug, Default)]
 pub struct LayerMetrics {
     /// Request time spent queued before a worker picked it up, µs.
     pub queue_wait_us: Histogram,
-    /// Lock acquisition time (including blocking waits), µs.
-    pub lock_wait_us: Histogram,
     /// Partial-index lookup hits, µs.
     pub lookup_partial_us: Histogram,
     /// Full-index lookup probes, µs.
@@ -415,7 +386,6 @@ impl LayerMetrics {
     pub fn histogram(&self, kind: EventKind) -> Option<&Histogram> {
         Some(match kind {
             EventKind::QueueWait => &self.queue_wait_us,
-            EventKind::LockWait => &self.lock_wait_us,
             EventKind::LookupPartial => &self.lookup_partial_us,
             EventKind::LookupFull => &self.lookup_full_us,
             EventKind::LookupRangeScan => &self.lookup_range_scan_us,
@@ -425,15 +395,14 @@ impl LayerMetrics {
             EventKind::GroupCommitWait => &self.group_commit_wait_us,
             EventKind::Execute => &self.execute_us,
             EventKind::Commit => &self.commit_us,
-            EventKind::LockFallback | EventKind::PartialMiss => return None,
+            EventKind::PartialMiss => return None,
         })
     }
 
     /// Every histogram with its stable series name, for exposition.
-    pub fn named(&self) -> [(&'static str, &Histogram); 12] {
+    pub fn named(&self) -> [(&'static str, &Histogram); 11] {
         [
             ("queue_wait_us", &self.queue_wait_us),
-            ("lock_wait_us", &self.lock_wait_us),
             ("lookup_partial_us", &self.lookup_partial_us),
             ("lookup_full_us", &self.lookup_full_us),
             ("lookup_range_scan_us", &self.lookup_range_scan_us),
@@ -456,7 +425,7 @@ mod tests {
     fn no_open_trace_records_nothing() {
         assert!(!enabled());
         point(EventKind::PartialMiss, 7, 0);
-        probe(EventKind::LockWait, probe_start(), 0, 0);
+        probe(EventKind::WalAppend, probe_start(), 0, 0);
         assert!(trace_finish().is_none());
     }
 

@@ -10,8 +10,8 @@ pub struct ServerConfig {
     pub addr: String,
     /// Worker threads executing requests against the store. `Ping` and,
     /// with [`mvcc`](Self::mvcc) on, the point reads (`ReadNode`, `Value`,
-    /// `Children`, `Parent`) never use a worker: they take no lock and run
-    /// on the session thread that decoded them.
+    /// `Children`, `Parent`) never use a worker: they pin a snapshot, cannot
+    /// wait, and run on the session thread that decoded them.
     pub workers: usize,
     /// Requests that may wait for a worker before new ones are rejected
     /// with a typed `Busy` error instead of queueing unboundedly. Inline
@@ -55,12 +55,13 @@ pub struct ServerConfig {
     /// Stores with requests in flight are never evicted.
     pub max_open_stores: usize,
     /// MVCC snapshot reads. On (the default), data-read opcodes pin the
-    /// store's current epoch at dispatch and run lock-free against that
-    /// frozen snapshot — readers never wait for writers or each other.
-    /// Off forces every read through the hierarchical lock manager and the
-    /// store's reader-writer lock (the pre-MVCC behavior; `axsbench`'s
-    /// `table5-wire` runs this way). Admin reads (`Stats`, `Report`, `Verify`, …) always take
-    /// the locked path: they inspect live store internals, not a snapshot.
+    /// store's current epoch at dispatch and run against that frozen
+    /// snapshot — readers never wait for writers or each other. Off, every
+    /// read borrows the live store under its shared guard, so it waits out
+    /// a writer's mutation and commit but not its fsync (`axsbench`'s
+    /// `table5-wire` runs this way). Admin reads (`Stats`, `Report`,
+    /// `Verify`, …) always borrow the live store: they inspect its
+    /// internals, not a snapshot.
     pub mvcc: bool,
 }
 

@@ -1,48 +1,40 @@
-//! Request execution: opcode dispatch against the store catalog, isolated
-//! per store by that store's hierarchical lock manager.
+//! Request execution: opcode dispatch against the store catalog.
 //!
 //! Every request frame names a store (the `u16` id in the frame header, 0
 //! = default); dispatch resolves it through the [`Catalog`] — opening the
-//! store lazily on first access — and runs as one short transaction:
-//! acquire the locks its opcode needs (shared for reads, exclusive for
-//! writes, scoped to the range subtree the target node lives in where one
-//! can be located), execute against that store, release everything
-//! (strict two-phase — all locks at the end). A request picked as a
-//! deadlock victim is answered with a typed `Lock` error and can simply
-//! be retried by the client.
+//! store lazily on first access — and runs it against that store in one
+//! of three ways, none of which takes a logical lock:
 //!
-//! **Data reads take none of those locks.** With MVCC on (the default),
-//! every document-content read — point reads, navigation, XPath, FLWOR,
-//! full scans — pins the epoch current at dispatch and runs against that
-//! frozen [`Snapshot`](axs_core::Snapshot): readers never wait for
-//! writers, writers never wait for readers, and a long scan observes one
-//! consistent commit point no matter how many commits land meanwhile.
-//! The locked path below remains for writes, for admin reads, and as the
-//! `mvcc: false` baseline.
+//! * **Data reads pin a snapshot.** With MVCC on (the default), every
+//!   document-content read — point reads, navigation, XPath, FLWOR, full
+//!   scans — pins the epoch current at dispatch and runs against that
+//!   frozen [`Snapshot`](axs_core::Snapshot): readers never wait for
+//!   writers, writers never wait for readers, and a long scan observes one
+//!   consistent commit point no matter how many commits land meanwhile.
+//! * **Admin reads and `mvcc: false` reads borrow the live store** under
+//!   the shared side of the slot's reader-writer lock. The store's whole
+//!   read API works through `&self` (partial-index memoization and
+//!   statistics are internally synchronized), so these reads overlap.
+//! * **Writes take the write guard**, the one arbiter of a write: mutate,
+//!   seal the WAL batch and publish the next epoch under it, then release
+//!   it *before* waiting on the group-commit fsync, so the next writer —
+//!   on any subtree — mutates while this one's durability is batched with
+//!   its neighbours'. WAL order is mutation order, and an ack waits for an
+//!   fsync that covers its LSN and so every earlier one: an acknowledged
+//!   write never survives a crash without its predecessors.
 //!
-//! Physical access to each [`XmlStore`] is a reader-writer lock mirroring
-//! the logical modes: the store's entire read API works through `&self`
-//! (partial-index memoization and statistics are internally synchronized),
-//! so every read-only opcode executes under *shared* access and genuinely
-//! overlaps with other readers. Mutating opcodes take the writer side,
-//! commit, publish the next MVCC epoch, then release it *before* waiting
-//! on the group-commit fsync — so the store is already serving the next
-//! request while this writer's durability is batched with its neighbors'.
-//! The lock manager layers the *logical* concurrency control of the
-//! paper's three-layer hierarchy (store / block / range) on top:
-//! admission, isolation, and deadlock detection for many sessions. Both
-//! the reader-writer lock and the lock manager live on the store's
-//! catalog slot, so sessions on different stores share nothing and never
-//! contend.
+//! Readers of either kind see a published commit before its fsync (the
+//! visibility-before-durability contract, DESIGN.md §5g). The
+//! reader-writer lock and the epoch registry live on the store's catalog
+//! slot, so sessions on different stores share nothing and never contend.
 
 use crate::metrics::EngineMetrics;
-use crate::stats::ServerStats;
+use crate::stats::{ServerStats, Stat};
 use axs_catalog::{Catalog, CatalogError, StoreSlot};
 use axs_client::wire::{
     put_str, put_u16, put_u32, put_u64, ErrorCode, Frame, OpCode, Reader, WireError,
 };
 use axs_core::{ReadView, StoreError, XmlStore, GC_HISTOGRAM_BOUNDS, GC_HISTOGRAM_BUCKETS};
-use axs_lock::{LockError, LockMode, Resource};
 use axs_xdm::{NodeId, Token};
 use axs_xml::serializer::SerializeError;
 use axs_xml::{parse_document, parse_fragment, ParseOptions, SerializeOptions, StreamSerializer};
@@ -120,20 +112,6 @@ enum WritePayload {
     Budget(u64),
 }
 
-/// The locks an opcode needs before touching the store.
-enum Intent {
-    /// No store access (ping, sleep).
-    None,
-    /// Shared read scoped to the range subtree holding this node.
-    ReadNode(NodeId),
-    /// Exclusive write scoped to the range subtree holding this node.
-    WriteNode(NodeId),
-    /// Shared read over the whole store (queries, scans, inspection).
-    ReadStore,
-    /// Exclusive write over the whole store (bulk load, flush, compact).
-    WriteStore,
-}
-
 /// A request-level failure, mapped onto a typed wire error.
 #[derive(Debug)]
 struct ExecError {
@@ -168,12 +146,6 @@ impl From<SerializeError> for ExecError {
     }
 }
 
-impl From<LockError> for ExecError {
-    fn from(e: LockError) -> Self {
-        ExecError::new(ErrorCode::Lock, e.to_string())
-    }
-}
-
 impl From<CatalogError> for ExecError {
     fn from(e: CatalogError) -> Self {
         let code = match &e {
@@ -189,7 +161,7 @@ impl From<CatalogError> for ExecError {
 
 /// The shared execution engine: the store catalog plus the server's own
 /// counters. Shared by every session and worker; per-store state (the
-/// reader-writer lock, the lock manager) lives on each catalog slot.
+/// reader-writer lock, the epoch registry) lives on each catalog slot.
 pub(crate) struct Engine {
     catalog: Arc<Catalog>,
     stats: Arc<ServerStats>,
@@ -265,12 +237,8 @@ impl Engine {
         match self.dispatch_inner(req, opcode) {
             Ok(frames) => DispatchOutcome::done(frames),
             Err(e) => {
-                match e.code {
-                    ErrorCode::Protocol | ErrorCode::Parse => {
-                        ServerStats::bump(&self.stats.protocol_errors)
-                    }
-                    ErrorCode::Lock => ServerStats::bump(&self.stats.deadlocks),
-                    _ => {}
+                if matches!(e.code, ErrorCode::Protocol | ErrorCode::Parse) {
+                    ServerStats::bump(&self.stats.protocol_errors);
                 }
                 DispatchOutcome::done(vec![Frame::error(
                     req.req_id, req.opcode, e.code, &e.message,
@@ -293,36 +261,32 @@ impl Engine {
             return self.run_dump_recorder(req);
         }
         // Everything else addresses the store in the frame header: resolve
-        // it (lazy-opening it on first access), then run under its locks.
+        // it (lazy-opening it on first access), then run against it.
         let slot = self.catalog.slot_by_id(req.store)?;
         if opcode == Explain {
             return self.run_explain(req, &slot);
         }
         if self.mvcc && Self::snapshot_read(opcode) {
             // MVCC fast path: pin the epoch current at dispatch and run
-            // against that frozen snapshot. No hierarchical locks, no
-            // store reader-writer lock — this read cannot wait on any
-            // writer, and no writer waits on it. The in-flight gauge
-            // still counts it so overlap stays observable.
+            // against that frozen snapshot without the store's
+            // reader-writer lock — this read cannot wait on any writer,
+            // and no writer waits on it. The in-flight gauge still counts
+            // it so overlap stays observable.
             if let Some(snap) = slot.epochs.pin() {
-                slot.locks.note_snapshot_bypass();
                 ServerStats::bump(&self.stats.reads_snapshot);
                 let _in_flight = self.stats.read_enter();
                 return self.run_read_data(req, opcode, &*snap);
             }
             // No published epoch (never happens for a built/opened store;
-            // defensive): fall through to the locked path.
+            // defensive): fall through to the live store.
         }
-        match self.intent_of(req, opcode)? {
-            Intent::None => self.run(req, opcode, &slot),
-            intent => self.run_locked(req, opcode, intent, &slot),
-        }
+        self.run(req, opcode, &slot)
     }
 
-    /// Data-read opcodes eligible for the lock-free snapshot path: they
-    /// read document content only. Admin reads (`Stats`, `Metrics`,
-    /// `Report`, `Ranges`, `Verify`) inspect live store internals — pools,
-    /// indexes, on-disk layout — so they keep the locked path.
+    /// Data-read opcodes eligible for the snapshot path: they read document
+    /// content only. Admin reads (`Stats`, `Metrics`, `Report`, `Ranges`,
+    /// `Verify`) inspect live store internals — pools, indexes, on-disk
+    /// layout — so they borrow the live store.
     fn snapshot_read(opcode: OpCode) -> bool {
         use OpCode::*;
         matches!(
@@ -333,10 +297,10 @@ impl Engine {
 
     /// Opcodes the server runs on the session thread that decoded them
     /// instead of handing them to the worker pool: `Ping`, and — with MVCC
-    /// on — the four point reads. Those take no lock (they pin the current
-    /// epoch, see [`Self::snapshot_read`]), so they can never wait on a
-    /// writer, and their work is O(node). Everything else may block or run
-    /// long and stays on the pool, under `workers`, `queue_depth` and
+    /// on — the four point reads. Those pin the current epoch (see
+    /// [`Self::snapshot_read`]) instead of borrowing the store, so they can
+    /// never wait on a writer, and their work is O(node). Everything else
+    /// may block or run long and stays on the pool, under `workers`, `queue_depth` and
     /// `request_timeout`; queries and scans are snapshot reads too, but
     /// they are O(document).
     pub(crate) fn runs_inline(&self, opcode: OpCode) -> bool {
@@ -370,17 +334,16 @@ impl Engine {
         Ok(vec![Frame::done(req.req_id, req.opcode, p)])
     }
 
-    /// `Explain`: executes the embedded request on the locked/live path
+    /// `Explain`: executes the embedded request against the live store
     /// under a dedicated trace and answers with the plan trace instead of
     /// the result.
     ///
-    /// The live path is deliberate: only the live store exercises the
-    /// paper's three lookup paths (an MVCC snapshot has its own frozen id
-    /// index and touches neither the partial index nor the adaptive
-    /// controller), so explaining *is* a statement about what the locked
-    /// execution would do — the response carries a `would_snapshot` flag
-    /// telling the caller when a normal execution would have read a
-    /// snapshot instead.
+    /// The live store is deliberate: only it exercises the paper's three
+    /// lookup paths (an MVCC snapshot has its own frozen id index and
+    /// touches neither the partial index nor the adaptive controller), so
+    /// explaining *is* a statement about what a live-store execution would
+    /// do — the response carries a `would_snapshot` flag telling the caller
+    /// when a normal execution would have read a snapshot instead.
     ///
     /// The inner execution runs under a trace of its own, fed into this
     /// server's layer histograms, so `Explain` works the same on a
@@ -432,8 +395,7 @@ impl Engine {
             // The inner execution skips `dispatch_inner`, so give its
             // trace the same top-level execute span every request gets.
             let _span = axs_obs::span_enter(axs_obs::EventKind::Execute, inner_op as u64, 0);
-            self.intent_of(&inner, inner_op)
-                .and_then(|intent| self.run_locked(&inner, inner_op, intent, slot))
+            self.run(&inner, inner_op, slot)
         };
         let trace = axs_obs::trace_finish().expect("explain opened this trace");
         let frames = result?;
@@ -456,7 +418,6 @@ impl Engine {
         p.push(trace.lookup_path_code());
         p.push(u8::from(would_snapshot));
         put_u64(&mut p, epoch);
-        p.push(Self::strongest_lock_mode(&trace));
         put_u64(&mut p, trace.total_us);
         put_u64(&mut p, result_count);
         let mut events: Vec<&axs_obs::Event> = trace.events.iter().collect();
@@ -475,24 +436,6 @@ impl Engine {
             put_str(&mut p, d);
         }
         Ok(vec![Frame::done(req.req_id, req.opcode, p)])
-    }
-
-    /// The strongest lock mode among the trace's `LockWait` events
-    /// (X > IX > S > IS), as the wire's mode byte; 255 when none.
-    fn strongest_lock_mode(trace: &axs_obs::FinishedTrace) -> u8 {
-        let rank = |mode: u64| match mode {
-            1 => 4u8, // X
-            3 => 3,   // IX
-            0 => 2,   // S
-            2 => 1,   // IS
-            _ => 0,
-        };
-        trace
-            .events
-            .iter()
-            .filter(|e| e.kind == axs_obs::EventKind::LockWait)
-            .max_by_key(|e| rank(e.a))
-            .map_or(255, |e| e.a as u8)
     }
 
     /// Catalog management opcodes: create / drop / list / resolve.
@@ -542,105 +485,12 @@ impl Engine {
         Ok(frames)
     }
 
-    /// Decodes enough of the payload to know what the opcode will lock.
-    fn intent_of(&self, req: &Frame, opcode: OpCode) -> Result<Intent, ExecError> {
-        use OpCode::*;
-        Ok(match opcode {
-            Ping | Sleep | Shutdown => Intent::None,
-            ReadNode | Value | Children | Parent => Intent::ReadNode(Self::peek_id(req)?),
-            InsertFirst | InsertLast | InsertBefore | InsertAfter | Delete | Replace => {
-                Intent::WriteNode(Self::peek_id(req)?)
-            }
-            Query | Flwor | ReadAll | Stats | Metrics | Report | Ranges | Verify => {
-                Intent::ReadStore
-            }
-            BulkLoad | Flush | Compact => Intent::WriteStore,
-            CreateStore | DropStore | ListStores | UseStore | Explain | DumpRecorder => {
-                unreachable!("handled before intent")
-            }
-        })
-    }
-
-    fn peek_id(req: &Frame) -> Result<NodeId, ExecError> {
-        let mut r = Reader::new(&req.payload);
-        Ok(NodeId(r.u64()?))
-    }
-
-    /// Acquires the intent's locks, runs the opcode, releases everything.
-    ///
-    /// Node-scoped intents map the node id onto its range resource via the
-    /// Range Index *before* locking, so the mapping can be stale by the
-    /// time the lock is granted (a concurrent writer may have split or
-    /// moved the range). After acquiring, the mapping is re-checked and
-    /// the locks re-taken until it is stable — the classic lock-then-
-    /// validate loop.
-    fn run_locked(
-        &self,
-        req: &Frame,
-        opcode: OpCode,
-        intent: Intent,
-        slot: &StoreSlot,
-    ) -> Result<Vec<Frame>, ExecError> {
-        let tx = slot.locks.begin();
-        let result = (|| {
-            match intent {
-                Intent::ReadStore => slot.locks.lock(tx, Resource::Store, LockMode::S)?,
-                Intent::WriteStore => slot.locks.lock(tx, Resource::Store, LockMode::X)?,
-                Intent::ReadNode(id) => self.lock_node(slot, tx, id, LockMode::S)?,
-                Intent::WriteNode(id) => self.lock_node(slot, tx, id, LockMode::X)?,
-                Intent::None => {}
-            }
-            self.run(req, opcode, slot)
-        })();
-        slot.locks.unlock_all(tx);
-        result
-    }
-
-    /// Locks the range subtree holding `id` in `mode` (plus intention
-    /// modes up the hierarchy), validating the id→range mapping after the
-    /// grant. Nodes the Range Index does not cover (not yet inserted, or
-    /// deleted) fall back to a whole-store lock so the store itself can
-    /// produce the precise `NodeNotFound` error under protection.
-    fn lock_node(
-        &self,
-        slot: &StoreSlot,
-        tx: axs_lock::TxId,
-        id: NodeId,
-        mode: LockMode,
-    ) -> Result<(), ExecError> {
-        // Without a range to lock, the whole store is locked in the same
-        // access class the caller asked for.
-        let store_mode = if mode == LockMode::S {
-            LockMode::S
-        } else {
-            LockMode::X
-        };
-        // Bounded retries: under heavy splitting the mapping may keep
-        // moving; degrade to a whole-store lock rather than live-lock.
-        for _ in 0..4 {
-            let located = slot.store.read().locate_range(id)?;
-            let Some((block, range)) = located else {
-                break;
-            };
-            slot.locks
-                .lock(tx, Resource::Range { block, range }, mode)?;
-            if slot.store.read().locate_range(id)? == Some((block, range)) {
-                return Ok(());
-            }
-            // Mapping moved while we waited; drop and retry from scratch.
-            slot.locks.unlock_all(tx);
-        }
-        slot.locks.lock(tx, Resource::Store, store_mode)?;
-        Ok(())
-    }
-
-    /// Executes the opcode body. Lock acquisition already happened (or was
-    /// deliberately skipped for lock-free opcodes). Read opcodes run under
-    /// shared physical access. Write opcodes parse before any physical
-    /// access, then mutate, seal the WAL batch and publish the epoch under
-    /// the store's write guard — the only physical arbiter — and wait on
-    /// the shared group fsync after dropping it, so the next writer mutates
-    /// while this one waits.
+    /// Executes the opcode body against the live store. Read opcodes run
+    /// under the store's shared guard. Write opcodes parse before taking
+    /// any guard, then mutate, seal the WAL batch and publish the epoch
+    /// under the store's write guard — the one arbiter of a write — and
+    /// wait on the shared group fsync after dropping it, so the next writer
+    /// mutates while this one waits.
     fn run(&self, req: &Frame, opcode: OpCode, slot: &StoreSlot) -> Result<Vec<Frame>, ExecError> {
         use OpCode::*;
         match opcode {
@@ -712,10 +562,10 @@ impl Engine {
     }
 
     /// Document-content reads, generic over the [`ReadView`] they run
-    /// against: the live [`XmlStore`] (locked path, MVCC off or a store
-    /// with no published epoch) or a pinned MVCC [`Snapshot`]
-    /// (lock-free path). One body, two access modes — the concurrency
-    /// battery's engine-agreement tests lean on this sharing.
+    /// against: the live [`XmlStore`] under its shared guard (MVCC off, or
+    /// a store with no published epoch) or a pinned MVCC [`Snapshot`]. One
+    /// body, two access modes — the concurrency battery's engine-agreement
+    /// tests lean on this sharing.
     ///
     /// [`Snapshot`]: axs_core::Snapshot
     fn run_read_data<V: ReadView>(
@@ -821,7 +671,7 @@ impl Engine {
         Ok(frames)
     }
 
-    /// Read-only opcodes on the locked path: `store` is a shared borrow —
+    /// Read-only opcodes on the live store: `store` is a shared borrow —
     /// any number of these run concurrently. Data reads delegate to the
     /// generic body; admin reads inspect the live store and the slot.
     fn run_read(
@@ -844,9 +694,9 @@ impl Engine {
                 let entries = self.stat_entries(store, slot);
                 let mut p = Vec::new();
                 put_u32(&mut p, entries.len() as u32);
-                for (name, value) in entries {
-                    put_str(&mut p, &name);
-                    put_u64(&mut p, value);
+                for stat in entries {
+                    put_str(&mut p, &stat.name);
+                    put_u64(&mut p, stat.value);
                 }
                 vec![Frame::done(id, op, p)]
             }
@@ -1014,13 +864,13 @@ impl Engine {
         Ok(frames)
     }
 
-    /// Every counter the server can name: store ops, buffer pools, partial
-    /// index, lock manager, group commit, catalog activity, and the
-    /// server's own session counters. `store` is the shared borrow the
+    /// Every counter and gauge the server can name: store ops, buffer
+    /// pools, partial index, group commit, epochs, catalog activity, and
+    /// the server's own session counters. `store` is the shared borrow the
     /// Stats opcode already holds; the `store.*`/`pool.*`/`partial.*`/
-    /// `wal.*`/`lock.*` groups describe the store the request addressed,
+    /// `wal.*`/`mvcc.*` groups describe the store the request addressed,
     /// while `cat.*` and `server.*` are process-wide.
-    fn stat_entries(&self, store: &XmlStore, slot: &StoreSlot) -> Vec<(String, u64)> {
+    fn stat_entries(&self, store: &XmlStore, slot: &StoreSlot) -> Vec<Stat> {
         let mut out = Vec::with_capacity(60);
         {
             let s = store.stats();
@@ -1042,28 +892,28 @@ impl Engine {
                 ("store.recoveries", s.recoveries),
                 ("store.torn_tail_truncations", s.torn_tail_truncations),
                 ("store.io_retries", s.io_retries),
-                ("store.ranges", store.range_count() as u64),
             ] {
-                out.push((name.to_string(), value));
+                out.push(Stat::counter(name, value));
             }
+            out.push(Stat::gauge("store.ranges", store.range_count() as u64));
             let data = store.data_pool_stats();
             let index = store.index_pool_stats();
-            out.push(("pool.data.hits".to_string(), data.hits));
-            out.push(("pool.data.misses".to_string(), data.misses));
-            out.push(("pool.data.evictions".to_string(), data.evictions));
-            out.push(("pool.index.hits".to_string(), index.hits));
-            out.push(("pool.index.misses".to_string(), index.misses));
-            out.push(("pool.index.evictions".to_string(), index.evictions));
+            out.push(Stat::counter("pool.data.hits", data.hits));
+            out.push(Stat::counter("pool.data.misses", data.misses));
+            out.push(Stat::counter("pool.data.evictions", data.evictions));
+            out.push(Stat::counter("pool.index.hits", index.hits));
+            out.push(Stat::counter("pool.index.misses", index.misses));
+            out.push(Stat::counter("pool.index.evictions", index.evictions));
             let partial = store.partial_stats();
-            out.push(("partial.hits".to_string(), partial.hits));
-            out.push(("partial.misses".to_string(), partial.misses));
-            out.push((
-                "partial.entries".to_string(),
+            out.push(Stat::counter("partial.hits", partial.hits));
+            out.push(Stat::counter("partial.misses", partial.misses));
+            out.push(Stat::gauge(
+                "partial.entries",
                 store.partial_index().map_or(0, |p| p.len() as u64),
             ));
             if let Some(gc) = store.group_commit_stats() {
-                out.push(("wal.group_commits".to_string(), gc.commits));
-                out.push(("wal.group_syncs".to_string(), gc.syncs));
+                out.push(Stat::counter("wal.group_commits", gc.commits));
+                out.push(Stat::counter("wal.group_syncs", gc.syncs));
                 // One histogram entry per batch-size bucket, labeled by its
                 // upper bound ("le" as in less-or-equal; the last is open).
                 debug_assert_eq!(gc.batches.len(), GC_HISTOGRAM_BUCKETS);
@@ -1072,7 +922,7 @@ impl Engine {
                         Some(bound) => format!("wal.group_batch_le_{bound}"),
                         None => "wal.group_batch_gt_16".to_string(),
                     };
-                    out.push((label, count));
+                    out.push(Stat::counter(label, count));
                 }
             }
         }
@@ -1081,13 +931,16 @@ impl Engine {
             // eviction / retuning machinery did (the always-on counters of
             // the decision log; the event ring itself is trace-gated).
             let c = store.decision_log().counts();
-            out.push(("adapt.admits".to_string(), c.admits));
-            out.push(("adapt.evictions".to_string(), c.evictions));
-            out.push(("adapt.skips".to_string(), c.skips));
-            out.push(("adapt.grows".to_string(), c.grows));
-            out.push(("adapt.shrinks".to_string(), c.shrinks));
-            out.push(("adapt.holds".to_string(), c.holds));
-            out.push(("adapt.log_seq".to_string(), store.decision_log().last_seq()));
+            out.push(Stat::counter("adapt.admits", c.admits));
+            out.push(Stat::counter("adapt.evictions", c.evictions));
+            out.push(Stat::counter("adapt.skips", c.skips));
+            out.push(Stat::counter("adapt.grows", c.grows));
+            out.push(Stat::counter("adapt.shrinks", c.shrinks));
+            out.push(Stat::counter("adapt.holds", c.holds));
+            out.push(Stat::counter(
+                "adapt.log_seq",
+                store.decision_log().last_seq(),
+            ));
         }
         {
             // Epoch lifecycle of this store: how many snapshots are alive,
@@ -1095,48 +948,40 @@ impl Engine {
             // been reclaimed. `mvcc.snapshot_age_*` is the pin-time age of
             // the snapshot readers actually observed, in microseconds.
             let m = slot.epochs.stats();
-            out.push(("mvcc.current_epoch".to_string(), m.current_epoch));
-            out.push(("mvcc.epochs_live".to_string(), m.epochs_live));
-            out.push(("mvcc.oldest_pinned".to_string(), m.oldest_pinned));
-            out.push(("mvcc.retired_total".to_string(), m.retired_total));
-            out.push(("mvcc.pins_active".to_string(), m.pins_active));
-            out.push(("mvcc.pins_total".to_string(), m.pins_total));
+            out.push(Stat::counter("mvcc.current_epoch", m.current_epoch));
+            out.push(Stat::gauge("mvcc.epochs_live", m.epochs_live));
+            out.push(Stat::gauge("mvcc.oldest_pinned", m.oldest_pinned));
+            out.push(Stat::counter("mvcc.retired_total", m.retired_total));
+            out.push(Stat::gauge("mvcc.pins_active", m.pins_active));
+            out.push(Stat::counter("mvcc.pins_total", m.pins_total));
             let age = slot.epochs.age_snapshot();
-            out.push(("mvcc.snapshot_age_us_p50".to_string(), age.percentile(0.50)));
-            out.push(("mvcc.snapshot_age_us_p99".to_string(), age.percentile(0.99)));
-            out.push(("mvcc.snapshot_age_us_max".to_string(), age.max));
+            out.push(Stat::gauge(
+                "mvcc.snapshot_age_us_p50",
+                age.percentile(0.50),
+            ));
+            out.push(Stat::gauge(
+                "mvcc.snapshot_age_us_p99",
+                age.percentile(0.99),
+            ));
+            out.push(Stat::gauge("mvcc.snapshot_age_us_max", age.max));
             // Lazy materialization: ranges decoded on first snapshot read
             // instead of eagerly at publish. Staying well below the range
             // count proves publishes don't decode what nobody reads.
-            out.push(("mvcc.lazy_materialized".to_string(), m.lazy_materialized));
+            out.push(Stat::counter("mvcc.lazy_materialized", m.lazy_materialized));
             // Node tables built for queries: at most one per epoch.
-            out.push(("mvcc.tables_built".to_string(), m.tables_built));
+            out.push(Stat::counter("mvcc.tables_built", m.tables_built));
             // Every publish is one epoch, so the count is the epoch number.
-            out.push(("mvcc.publishes".to_string(), m.current_epoch));
+            out.push(Stat::counter("mvcc.publishes", m.current_epoch));
         }
-        let locks = slot.locks.stats();
-        out.push(("lock.acquisitions".to_string(), locks.acquisitions));
-        out.push((
-            "lock.fast_shared_grants".to_string(),
-            locks.fast_shared_grants,
-        ));
-        out.push(("lock.waits".to_string(), locks.waits));
-        out.push(("lock.deadlocks".to_string(), locks.deadlocks));
-        out.push((
-            "lock.snapshot_bypasses".to_string(),
-            locks.snapshot_bypasses,
-        ));
         let (cat, live, open) = self.catalog.stats();
-        out.push(("cat.stores".to_string(), live as u64));
-        out.push(("cat.open_stores".to_string(), open as u64));
-        out.push(("cat.lazy_opens".to_string(), cat.lazy_opens));
-        out.push(("cat.evictions".to_string(), cat.evictions));
-        out.push(("cat.creates".to_string(), cat.creates));
-        out.push(("cat.drops".to_string(), cat.drops));
-        out.push(("cat.orphans_swept".to_string(), cat.orphans_swept));
-        for (name, value) in self.stats.snapshot() {
-            out.push((name.to_string(), value));
-        }
+        out.push(Stat::gauge("cat.stores", live as u64));
+        out.push(Stat::gauge("cat.open_stores", open as u64));
+        out.push(Stat::counter("cat.lazy_opens", cat.lazy_opens));
+        out.push(Stat::counter("cat.evictions", cat.evictions));
+        out.push(Stat::counter("cat.creates", cat.creates));
+        out.push(Stat::counter("cat.drops", cat.drops));
+        out.push(Stat::counter("cat.orphans_swept", cat.orphans_swept));
+        out.extend(self.stats.snapshot());
         out
     }
 

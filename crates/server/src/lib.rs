@@ -3,14 +3,14 @@
 //! # axs-server — `axsd`, a concurrent network front for the adaptive store
 //!
 //! The paper's store already carries the ingredients of a multi-user
-//! system: hierarchical range/block locking (`axs-lock`), a partial index
-//! designed around concurrent updaters (§5, §7) and a crash-safe WAL. This
-//! crate puts a network face on those ingredients: a multi-threaded TCP
-//! server that owns a [`Catalog`] of named [`axs_core::XmlStore`]s and
-//! serves many concurrent sessions over the length-prefixed binary
-//! protocol defined in [`axs_client::wire`]. Every request frame names
-//! its target store by id; stores are opened lazily on first access and
-//! each has its own WAL, adaptive-index state, and lock hierarchy, so
+//! system: a partial index designed around concurrent updaters (§5, §7),
+//! MVCC epochs for readers and a crash-safe group-commit WAL. This crate
+//! puts a network face on those ingredients: a multi-threaded TCP server
+//! that owns a [`Catalog`] of named [`axs_core::XmlStore`]s and serves
+//! many concurrent sessions over the length-prefixed binary protocol
+//! defined in [`axs_client::wire`]. Every request frame names its target
+//! store by id; stores are opened lazily on first access and each has its
+//! own WAL, adaptive-index state, write guard and epoch registry, so
 //! sessions on different stores share nothing but the worker pool.
 //!
 //! Architecture, per connection and per request:
@@ -20,13 +20,13 @@
 //!                   │   │
 //!                   │   └─→ inline: Ping, and with MVCC the point reads
 //!                   │       (ReadNode / Value / Children / Parent) on a
-//!                   │       pinned snapshot — no lock, no queue
+//!                   │       pinned snapshot — no guard, no queue
 //!                   │  everything else: bounded queue (Busy beyond the limit)
 //!                   ▼
-//!                worker pool ─→ exec: hierarchical locks (S readers /
-//!                               X writers per range subtree) around the
-//!                               shared store, or a pinned snapshot for
-//!                               queries and scans; results streamed back
+//!                worker pool ─→ exec: the store's write guard for writes,
+//!                               its shared guard for admin reads, or a
+//!                               pinned snapshot for queries and scans;
+//!                               results streamed back
 //! ```
 //!
 //! Graceful shutdown (SIGTERM, Ctrl-C, or the `Shutdown` opcode) drains

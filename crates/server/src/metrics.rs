@@ -4,9 +4,10 @@
 //!
 //! Naming conventions (also documented in DESIGN.md §5e):
 //!
-//! * Prometheus series carry the `axs_` prefix. Counter entries from the
-//!   `Stats` opcode map dot-to-underscore (`server.requests` →
-//!   `axs_server_requests`).
+//! * Prometheus series carry the `axs_` prefix. Entries from the `Stats`
+//!   opcode map dot-to-underscore (`server.requests` →
+//!   `axs_server_requests`) and keep the counter or gauge kind their
+//!   producer gave them.
 //! * Histograms follow the Prometheus text format: cumulative
 //!   `_bucket{le="..."}` series over the power-of-two bounds (emitted up
 //!   to the highest non-empty bucket, then `+Inf`), plus `_sum` and
@@ -20,6 +21,7 @@
 //!   server's instrumentation histograms (its [`LayerMetrics`], fed by
 //!   the traces it opens), and `obs.partial_hit_ratio_pct`.
 
+use crate::stats::Stat;
 use axs_client::wire::OpCode;
 use axs_obs::{FinishedTrace, Histogram, HistogramSnapshot, LayerMetrics, TraceRing};
 use parking_lot::Mutex;
@@ -264,22 +266,17 @@ impl EngineMetrics {
             .collect()
     }
 
-    /// The Prometheus-style exposition text. `counters` is the full
-    /// `Stats`-opcode entry list (already holding the store borrow).
-    pub(crate) fn prometheus_text(&self, counters: &[(String, u64)]) -> String {
+    /// The Prometheus-style exposition text. `stats` is the full
+    /// `Stats`-opcode row list (already holding the store borrow).
+    pub(crate) fn prometheus_text(&self, stats: &[Stat]) -> String {
         let mut out = String::with_capacity(8192);
-        for (name, value) in counters {
-            let series = format!("axs_{}", name.replace('.', "_"));
-            let kind = if name.contains("in_flight")
-                || name.contains("active")
-                || name.ends_with(".entries")
-                || name.ends_with(".ranges")
-            {
-                "gauge"
-            } else {
-                "counter"
-            };
-            out.push_str(&format!("# TYPE {series} {kind}\n{series} {value}\n"));
+        for stat in stats {
+            let series = format!("axs_{}", stat.name.replace('.', "_"));
+            let kind = if stat.gauge { "gauge" } else { "counter" };
+            out.push_str(&format!(
+                "# TYPE {series} {kind}\n{series} {}\n",
+                stat.value
+            ));
         }
         // Aggregate family series first (label shape unchanged from v1),
         // then the same histogram broken down with a `store` label —
@@ -334,10 +331,10 @@ impl EngineMetrics {
         out
     }
 
-    /// The extended self-describing entries: every counter plus derived
-    /// percentiles and ratios (single round trip for `axs top`).
-    pub(crate) fn extended_entries(&self, counters: &[(String, u64)]) -> Vec<(String, u64)> {
-        let mut out: Vec<(String, u64)> = counters.to_vec();
+    /// The extended self-describing entries: every `Stats` row plus
+    /// derived percentiles and ratios (single round trip for `axs top`).
+    pub(crate) fn extended_entries(&self, stats: &[Stat]) -> Vec<(String, u64)> {
+        let mut out: Vec<(String, u64)> = stats.iter().map(|s| (s.name.clone(), s.value)).collect();
         for (name, s) in self.family_snapshots() {
             push_summary(&mut out, &format!("rq.{name}"), &s);
         }
@@ -365,8 +362,8 @@ impl EngineMetrics {
             }
             push_summary(&mut out, &format!("obs.{name}"), &hist.snapshot());
         }
-        let hits = lookup(counters, "partial.hits");
-        let misses = lookup(counters, "partial.misses");
+        let hits = lookup(stats, "partial.hits");
+        let misses = lookup(stats, "partial.misses");
         let ratio = (hits * 100).checked_div(hits + misses).unwrap_or(0);
         out.push(("obs.partial_hit_ratio_pct".to_string(), ratio));
         out.push((
@@ -382,11 +379,8 @@ impl EngineMetrics {
     }
 }
 
-fn lookup(counters: &[(String, u64)], name: &str) -> u64 {
-    counters
-        .iter()
-        .find(|(n, _)| n == name)
-        .map_or(0, |(_, v)| *v)
+fn lookup(stats: &[Stat], name: &str) -> u64 {
+    stats.iter().find(|s| s.name == name).map_or(0, |s| s.value)
 }
 
 fn push_summary(out: &mut Vec<(String, u64)>, prefix: &str, s: &HistogramSnapshot) {
@@ -469,9 +463,17 @@ mod tests {
         let m = EngineMetrics::new(None);
         m.finish_request(5, "default", 0, true, 8, Duration::from_micros(100), None);
         m.finish_request(5, "aux", 1, true, 8, Duration::from_micros(3), None);
-        let counters = vec![("server.requests".to_string(), 2u64)];
-        let text = m.prometheus_text(&counters);
+        let stats = vec![
+            Stat::counter("server.requests", 2),
+            Stat::gauge("mvcc.epochs_live", 1),
+        ];
+        let text = m.prometheus_text(&stats);
         assert!(text.contains("axs_server_requests 2"), "{text}");
+        assert!(
+            text.contains("# TYPE axs_server_requests counter"),
+            "{text}"
+        );
+        assert!(text.contains("# TYPE axs_mvcc_epochs_live gauge"), "{text}");
         assert!(
             text.contains("axs_request_duration_us_bucket{family=\"point_read\",le=\""),
             "{text}"
@@ -514,11 +516,11 @@ mod tests {
     fn extended_entries_carry_percentiles() {
         let m = EngineMetrics::new(None);
         m.finish_request(5, "default", 0, true, 16, Duration::from_micros(100), None);
-        let counters = vec![
-            ("partial.hits".to_string(), 3u64),
-            ("partial.misses".to_string(), 1u64),
+        let stats = vec![
+            Stat::counter("partial.hits", 3),
+            Stat::counter("partial.misses", 1),
         ];
-        let entries = m.extended_entries(&counters);
+        let entries = m.extended_entries(&stats);
         let get = |name: &str| {
             entries
                 .iter()

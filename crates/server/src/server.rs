@@ -9,7 +9,7 @@
 //!   timeout mid-frame never desynchronizes the stream) and answers
 //!   protocol errors itself;
 //! - requests that can never wait and do O(node) work — `Ping`, and with
-//!   MVCC on the lock-free point reads `ReadNode`, `Value`, `Children`,
+//!   MVCC on the snapshot point reads `ReadNode`, `Value`, `Children`,
 //!   `Parent` — execute right there on the session thread: no queue, no
 //!   thread hand-off, and so never `Busy` or `Timeout`;
 //! - every other well-formed request goes to the bounded worker pool with

@@ -25,14 +25,12 @@ pub struct ServerStats {
     pub busy_rejections: AtomicU64,
     /// Requests answered with `Timeout` after the request window lapsed.
     pub timeouts: AtomicU64,
-    /// Requests aborted as deadlock victims (answered with `Lock`).
-    pub deadlocks: AtomicU64,
     /// Malformed frames / payloads answered with `Protocol`.
     pub protocol_errors: AtomicU64,
     /// Read opcodes executed under shared store access.
     pub reads_shared: AtomicU64,
-    /// Read opcodes served from a pinned MVCC snapshot — no store lock,
-    /// no hierarchical locks; a subset of `reads_shared`.
+    /// Read opcodes served from a pinned MVCC snapshot, without the
+    /// store's reader-writer lock; a subset of `reads_shared`.
     pub reads_snapshot: AtomicU64,
     /// Write opcodes executed under exclusive store access.
     pub writes_exclusive: AtomicU64,
@@ -79,39 +77,66 @@ impl ServerStats {
         ReadGuard { stats: self }
     }
 
-    /// Named snapshot of every counter, in stable order.
-    pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
+    /// Every counter and gauge as a named [`Stat`] row, in stable order.
+    pub(crate) fn snapshot(&self) -> Vec<Stat> {
         let read = |c: &AtomicU64| c.load(Ordering::Relaxed);
         vec![
-            ("server.connections", read(&self.connections)),
-            ("server.connections_active", read(&self.connections_active)),
-            (
+            Stat::counter("server.connections", read(&self.connections)),
+            Stat::gauge("server.connections_active", read(&self.connections_active)),
+            Stat::counter(
                 "server.connections_rejected",
                 read(&self.connections_rejected),
             ),
-            ("server.requests", read(&self.requests)),
-            ("server.busy_rejections", read(&self.busy_rejections)),
-            ("server.timeouts", read(&self.timeouts)),
-            ("server.deadlocks", read(&self.deadlocks)),
-            ("server.protocol_errors", read(&self.protocol_errors)),
-            ("server.reads_shared", read(&self.reads_shared)),
-            ("server.reads_snapshot", read(&self.reads_snapshot)),
-            ("server.writes_exclusive", read(&self.writes_exclusive)),
-            ("server.writes_parallel", read(&self.writes_parallel)),
-            ("server.writes_in_flight", read(&self.writes_in_flight)),
-            (
+            Stat::counter("server.requests", read(&self.requests)),
+            Stat::counter("server.busy_rejections", read(&self.busy_rejections)),
+            Stat::counter("server.timeouts", read(&self.timeouts)),
+            Stat::counter("server.protocol_errors", read(&self.protocol_errors)),
+            Stat::counter("server.reads_shared", read(&self.reads_shared)),
+            Stat::counter("server.reads_snapshot", read(&self.reads_snapshot)),
+            Stat::counter("server.writes_exclusive", read(&self.writes_exclusive)),
+            Stat::counter("server.writes_parallel", read(&self.writes_parallel)),
+            Stat::gauge("server.writes_in_flight", read(&self.writes_in_flight)),
+            Stat::gauge(
                 "server.writes_max_in_flight",
                 read(&self.writes_max_in_flight),
             ),
-            ("server.reads_in_flight", read(&self.reads_in_flight)),
-            (
+            Stat::gauge("server.reads_in_flight", read(&self.reads_in_flight)),
+            Stat::gauge(
                 "server.reads_max_in_flight",
                 read(&self.reads_max_in_flight),
             ),
-            ("server.commit_waits", read(&self.commit_waits)),
-            ("server.stores_created", read(&self.stores_created)),
-            ("server.stores_dropped", read(&self.stores_dropped)),
+            Stat::counter("server.commit_waits", read(&self.commit_waits)),
+            Stat::counter("server.stores_created", read(&self.stores_created)),
+            Stat::counter("server.stores_dropped", read(&self.stores_dropped)),
         ]
+    }
+}
+
+/// One row of the `Stats` opcode. Its Prometheus kind is decided where the
+/// row is produced: a `gauge` is a level that can fall or a high-water
+/// mark, a `counter` only ever grows.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Stat {
+    pub(crate) name: String,
+    pub(crate) value: u64,
+    pub(crate) gauge: bool,
+}
+
+impl Stat {
+    pub(crate) fn counter(name: impl Into<String>, value: u64) -> Stat {
+        Stat {
+            name: name.into(),
+            value,
+            gauge: false,
+        }
+    }
+
+    pub(crate) fn gauge(name: impl Into<String>, value: u64) -> Stat {
+        Stat {
+            name: name.into(),
+            value,
+            gauge: true,
+        }
     }
 }
 
@@ -176,11 +201,7 @@ mod tests {
         drop(g1);
         assert_eq!(stats.writes_in_flight.load(Ordering::Relaxed), 0);
         let named = stats.snapshot();
-        assert!(named
-            .iter()
-            .any(|(n, v)| *n == "server.writes_parallel" && *v == 1));
-        assert!(named
-            .iter()
-            .any(|(n, v)| *n == "server.writes_exclusive" && *v == 2));
+        assert!(named.contains(&Stat::counter("server.writes_parallel", 1)));
+        assert!(named.contains(&Stat::counter("server.writes_exclusive", 2)));
     }
 }

@@ -55,10 +55,6 @@ fn explain_reports_scan_then_partial_on_a_lazy_store() {
         first.decisions
     );
     assert!(first.result_count >= 1, "{first:?}");
-    assert!(
-        first.lock_mode.is_some(),
-        "locked path reports a lock mode: {first:?}"
-    );
     // Default config runs MVCC, and ReadNode is a snapshot-eligible
     // opcode — the report must say a normal execution would have read a
     // frozen snapshot instead of the live path explain exercises.
@@ -191,7 +187,7 @@ fn dump_recorder_round_trips_recent_requests() {
 #[test]
 fn slow_requests_dump_the_flight_recorder() {
     // MVCC snapshot reads resolve ids inside the frozen snapshot and
-    // probe no live index; pin the locked read path so the recorder
+    // probe no live index; pin the live-store read path so the recorder
     // entries carry real lookup-path verdicts.
     let handle = Server::start(
         StoreBuilder::new().build().unwrap(),

@@ -82,7 +82,6 @@ fn metrics_opcode_exposes_every_documented_series() {
     }
     for series in [
         "queue_wait_us",
-        "lock_wait_us",
         "range_scan_tokens",
         "range_probe_us",
         "scan_end_us",
@@ -149,6 +148,38 @@ fn metrics_opcode_exposes_every_documented_series() {
     );
     assert!(get(&entries, "obs.execute_us.count") > 0);
     assert!(get(&entries, "obs.queue_wait_us.count") > 0);
+
+    handle.shutdown();
+    handle.join().unwrap();
+}
+
+/// Each `Stats` row is exposed with the kind its producer declared:
+/// levels that can fall are gauges, monotonic totals are counters — never
+/// a guess from the series name.
+#[test]
+fn prometheus_types_follow_each_row() {
+    let handle = start_in_memory(ServerConfig::default());
+    let mut c = connect(&handle);
+    let (root, _) = c.bulk_load("<doc/>").unwrap();
+    c.insert_last(root, "<a/>").unwrap();
+
+    let (text, _) = c.metrics().unwrap();
+    for (series, kind) in [
+        ("axs_store_inserts", "counter"),
+        ("axs_server_requests", "counter"),
+        ("axs_mvcc_current_epoch", "counter"),
+        ("axs_mvcc_epochs_live", "gauge"),
+        ("axs_mvcc_oldest_pinned", "gauge"),
+        ("axs_mvcc_snapshot_age_us_p99", "gauge"),
+        ("axs_cat_stores", "gauge"),
+        ("axs_cat_open_stores", "gauge"),
+        ("axs_server_reads_in_flight", "gauge"),
+    ] {
+        assert!(
+            text.contains(&format!("# TYPE {series} {kind}\n")),
+            "{series} is a {kind}: {text}"
+        );
+    }
 
     handle.shutdown();
     handle.join().unwrap();
@@ -231,7 +262,7 @@ fn request_histogram_buckets_are_cumulative_per_store() {
 /// histogram) must move, and the server-computed hit ratio must follow.
 #[test]
 fn partial_index_counters_move_under_cached_lookups() {
-    // The partial index serves the *locked* read path; MVCC snapshot
+    // The partial index serves the *live-store* read path; MVCC snapshot
     // reads resolve ids inside the frozen snapshot instead. Turn MVCC
     // off so the cached lookups actually reach the partial index.
     let handle = start_in_memory(ServerConfig {
@@ -282,13 +313,12 @@ fn partial_index_counters_move_under_cached_lookups() {
 }
 
 /// With the threshold at zero every request is "slow": the log must carry
-/// full span trees whose events include the lock wait and the index path
-/// taken — the acceptance shape for diagnosing a slow request.
+/// full span trees whose events include the execute span and the index
+/// path taken — the acceptance shape for diagnosing a slow request.
 #[test]
-fn slow_log_emits_span_tree_with_lock_and_index_events() {
-    // Lock-wait and index-path events are locked-path instrumentation;
-    // snapshot reads take no locks and probe no index, so this test pins
-    // the pre-MVCC read path.
+fn slow_log_emits_span_tree_with_execute_and_index_events() {
+    // Index-path events are live-store instrumentation; snapshot reads
+    // probe no index, so this test pins the pre-MVCC read path.
     let handle = start_in_memory(ServerConfig {
         slow_request: Some(Duration::ZERO),
         mvcc: false,
@@ -308,11 +338,6 @@ fn slow_log_emits_span_tree_with_lock_and_index_events() {
         .find(|l| l.contains("op=ReadNode"))
         .unwrap_or_else(|| panic!("no ReadNode slow entry in {log:#?}"));
     assert!(
-        tree.contains("lock_wait"),
-        "lock wait event present: {tree}"
-    );
-    assert!(tree.contains("mode="), "lock mode rendered: {tree}");
-    assert!(
         tree.contains("lookup_partial")
             || tree.contains("lookup_full")
             || tree.contains("lookup_range_scan"),
@@ -325,12 +350,12 @@ fn slow_log_emits_span_tree_with_lock_and_index_events() {
     assert!(!traces.is_empty());
     assert!(
         traces.iter().any(|t| {
-            t.has(axs_obs::EventKind::LockWait)
+            t.has(axs_obs::EventKind::Execute)
                 && (t.has(axs_obs::EventKind::LookupPartial)
                     || t.has(axs_obs::EventKind::LookupFull)
                     || t.has(axs_obs::EventKind::LookupRangeScan))
         }),
-        "a retained trace nests lock-wait and index-path events"
+        "a retained trace nests execute and index-path events"
     );
 
     // Every slow request is also counted in the Metrics exposition.

@@ -92,7 +92,7 @@ grep -q "group commit"             <<<"$TOP_OUT" || fail "top missing group-comm
 # the same id must hit the partial index. Node 2 (the first <order>) has
 # never been individually located — queries are cursor scans and the
 # insert targeted node 1 — so it is still cold here. Explain always runs
-# under the locked path on the server, so the verdicts are deterministic
+# under the live path on the server, so the verdicts are deterministic
 # even with MVCC snapshots on.
 EXPLAIN_COLD="$("$AXS" explain "127.0.0.1:$PORT" 2)" || fail "explain (cold) failed"
 grep -q "path=scan" <<<"$EXPLAIN_COLD" \
