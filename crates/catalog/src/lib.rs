@@ -35,15 +35,16 @@
 //! a fresh one — a stale id from before a drop surfaces as a typed
 //! [`CatalogError::UnknownStore`] instead of silently writing into the
 //! successor store. Every open store is a [`StoreSlot`] carrying its own
-//! `RwLock<XmlStore>` — the one arbiter of that store's writes — and its
-//! own epoch registry, so sessions on different stores never contend.
+//! [`ConcurrentStore`] — the one handle on that store: its reader-writer
+//! lock, its epoch registry and its durable-write path — so sessions on
+//! different stores never contend.
 //!
 //! Legacy roots (a bare single-store directory with `data.pages` at top
 //! level) are adopted as the `default` store in place, so pre-catalog data
 //! directories keep working unchanged.
 
-use axs_core::{StoreBuilder, StoreError, XmlStore};
-use parking_lot::{Mutex, RwLock};
+use axs_core::{ConcurrentStore, StoreBuilder, StoreError, XmlStore};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -159,36 +160,28 @@ impl CatalogConfig {
     }
 }
 
-/// One open store: the store behind its reader-writer lock plus its MVCC
-/// epoch registry. Requests on different slots share nothing, so sessions
-/// on different stores never contend.
+/// One open store: its name, its id and its [`ConcurrentStore`] handle.
+/// Requests on different slots share nothing, so sessions on different
+/// stores never contend.
 pub struct StoreSlot {
     /// The store's catalog name.
     pub name: String,
     /// The store's process-lifetime id (what the wire protocol routes by).
     pub id: u16,
-    /// Shared for reads that pin no snapshot, exclusive for writes. The
-    /// write guard is the only arbiter of a write — it mutates, seals its
-    /// WAL batch and publishes its epoch under it (`XmlStore::commit`),
-    /// then waits for the group fsync without it.
-    pub store: RwLock<XmlStore>,
-    /// The store's MVCC epoch registry, shared with the store itself:
-    /// sessions pin read snapshots here without touching `store`, and
-    /// pinned snapshots stay readable even if the catalog evicts (flushes
-    /// and closes) the store underneath them.
-    pub epochs: Arc<axs_core::EpochRegistry>,
+    /// The one handle on the store: shared reads, snapshot pins (which stay
+    /// readable even if the catalog evicts the store underneath them) and
+    /// the write guard, the only arbiter of a write.
+    pub store: ConcurrentStore,
     /// LRU stamp maintained by [`Catalog::slot_by_id`].
     last_used: AtomicU64,
 }
 
 impl StoreSlot {
     fn new(name: String, id: u16, store: XmlStore) -> Arc<StoreSlot> {
-        let epochs = store.epoch_registry();
         Arc::new(StoreSlot {
             name,
             id,
-            store: RwLock::new(store),
-            epochs,
+            store: ConcurrentStore::new(store),
             last_used: AtomicU64::new(0),
         })
     }
@@ -553,7 +546,7 @@ impl Catalog {
                 return Ok(()); // everything resident is in use
             };
             let slot = inner.open.remove(&id).expect("victim is resident");
-            slot.store.write().flush()?;
+            slot.store.with_write(XmlStore::flush)?;
             inner.stats.evictions += 1;
         }
         Ok(())
@@ -590,7 +583,7 @@ impl Catalog {
     pub fn flush_all(&self) -> Result<(), CatalogError> {
         let slots: Vec<Arc<StoreSlot>> = self.inner.lock().open.values().cloned().collect();
         for slot in slots {
-            slot.store.write().flush()?;
+            slot.store.with_write(XmlStore::flush)?;
         }
         Ok(())
     }
@@ -679,16 +672,12 @@ mod tests {
         assert_eq!((live, open), (4, 0));
         for name in ["a", "b", "c"] {
             let slot = cat.slot(name).unwrap();
-            slot.store
-                .write()
-                .bulk_insert(
-                    axs_xml::parse_fragment(
-                        &format!("<{name}/>"),
-                        axs_xml::ParseOptions::data_centric(),
-                    )
-                    .unwrap(),
-                )
-                .unwrap();
+            let doc = axs_xml::parse_fragment(
+                &format!("<{name}/>"),
+                axs_xml::ParseOptions::data_centric(),
+            )
+            .unwrap();
+            slot.store.with_write(|s| s.bulk_insert(doc)).unwrap();
         }
         let (stats, live, open) = cat.stats();
         assert_eq!(live, 4);
@@ -702,7 +691,7 @@ mod tests {
         let cat = Catalog::open(&root, CatalogConfig::default()).unwrap();
         for name in ["a", "b", "c"] {
             let slot = cat.slot(name).unwrap();
-            let tokens = slot.store.read().read_all().unwrap();
+            let tokens = slot.store.with_read(XmlStore::read_all).unwrap();
             let xml = axs_xml::serialize(&tokens, &axs_xml::SerializeOptions::default()).unwrap();
             assert!(xml.contains(&format!("<{name}/>")), "{name}: {xml}");
         }
@@ -725,7 +714,7 @@ mod tests {
         let cat = Catalog::open(&root, CatalogConfig::default()).unwrap();
         assert_eq!(cat.store_dir(DEFAULT_STORE).unwrap(), root);
         let slot = cat.slot(DEFAULT_STORE).unwrap();
-        let tokens = slot.store.read().read_all().unwrap();
+        let tokens = slot.store.with_read(XmlStore::read_all).unwrap();
         let xml = axs_xml::serialize(&tokens, &axs_xml::SerializeOptions::default()).unwrap();
         assert!(xml.contains("<legacy/>"), "{xml}");
         let _ = std::fs::remove_dir_all(&root);

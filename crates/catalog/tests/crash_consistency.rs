@@ -91,7 +91,7 @@ fn crash_after_create_rename_keeps_the_store() {
     let catalog = Catalog::open(&root, CatalogConfig::default()).unwrap();
     assert_eq!(store_names(&catalog), ["default", "kept"]);
     let slot = catalog.slot("kept").unwrap();
-    assert!(slot.store.read().read_all().unwrap().is_empty());
+    assert!(slot.store.with_read(|s| s.read_all()).unwrap().is_empty());
     std::fs::remove_dir_all(&root).unwrap();
 }
 

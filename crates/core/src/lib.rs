@@ -27,13 +27,13 @@
 //! - [`policy`] — [`IndexingPolicy`]: Full / RangeOnly / RangePlusPartial /
 //!   Adaptive, plus the adaptive controller;
 //! - [`stats`] — operation and lookup-path counters;
-//! - [`locking`] — a reader-writer concurrent wrapper (§9 outlook).
+//! - [`shared`] — [`ConcurrentStore`]: the one handle on a shared store —
+//!   reader-writer lock, epoch registry, durable write (§9 outlook).
 
 pub mod adapt;
 pub mod bulkload;
 pub mod cursor;
 pub mod error;
-pub mod locking;
 pub mod maintenance;
 pub mod mvcc;
 pub mod navigate;
@@ -41,6 +41,7 @@ pub mod ops;
 pub mod policy;
 pub mod psvi;
 pub mod range;
+pub mod shared;
 pub mod stats;
 pub mod store;
 pub mod table;
@@ -51,12 +52,12 @@ pub use axs_storage::{CommitTicket, GroupCommitStats, GC_HISTOGRAM_BOUNDS, GC_HI
 pub use bulkload::BulkLoader;
 pub use cursor::{StoreCursor, ViewCursor};
 pub use error::StoreError;
-pub use locking::ConcurrentStore;
 pub use maintenance::{CompactionReport, StorageReport};
 pub use mvcc::{EpochRegistry, LazyRange, MvccStats, PinnedSnapshot, Snapshot};
 pub use policy::{AdaptiveConfig, AdaptiveController, IndexingPolicy};
 pub use psvi::AnnotateOutcome;
 pub use range::{RangeHeader, RANGE_HEADER_LEN};
+pub use shared::ConcurrentStore;
 pub use stats::{LookupPath, SharedStats, StoreStats};
 pub use store::{StoreBuilder, XmlStore};
 pub use table::{NodeKind, NodeTable};

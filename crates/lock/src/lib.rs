@@ -16,8 +16,8 @@
 //! range writers while two writers in different blocks proceed in parallel.
 //!
 //! The server does not use it: a store's writes are ordered by the
-//! store's own reader-writer guard alone (the server's per-store `RwLock`,
-//! or `axs-core`'s `ConcurrentStore` for embedded callers) — see
+//! store's own reader-writer guard alone (`axs-core`'s `ConcurrentStore`,
+//! which the server's catalog slots and embedded callers share) — see
 //! DESIGN.md §5d. The manager is a library for callers that want
 //! multi-operation isolation, and is tested standalone, including under
 //! thread stress, in the crate's integration tests.

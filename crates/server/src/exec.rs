@@ -2,31 +2,35 @@
 //!
 //! Every request frame names a store (the `u16` id in the frame header, 0
 //! = default); dispatch resolves it through the [`Catalog`] — opening the
-//! store lazily on first access — and runs it against that store in one
-//! of three ways, none of which takes a logical lock:
+//! store lazily on first access — and runs it through that slot's
+//! [`ConcurrentStore`](axs_core::ConcurrentStore) handle in one of three
+//! ways, none of which takes a logical lock:
 //!
 //! * **Data reads pin a snapshot.** With MVCC on (the default), every
 //!   document-content read — point reads, navigation, XPath, FLWOR, full
-//!   scans — pins the epoch current at dispatch and runs against that
-//!   frozen [`Snapshot`](axs_core::Snapshot): readers never wait for
-//!   writers, writers never wait for readers, and a long scan observes one
-//!   consistent commit point no matter how many commits land meanwhile.
-//! * **Admin reads and `mvcc: false` reads borrow the live store** under
-//!   the shared side of the slot's reader-writer lock. The store's whole
-//!   read API works through `&self` (partial-index memoization and
+//!   scans — pins the epoch current at dispatch (`epochs()`) and runs
+//!   against that frozen [`Snapshot`](axs_core::Snapshot): readers never
+//!   wait for writers, writers never wait for readers, and a long scan
+//!   observes one consistent commit point no matter how many commits land
+//!   meanwhile.
+//! * **Admin reads and `mvcc: false` reads borrow the live store**
+//!   (`with_read`, the shared side of the reader-writer lock). The store's
+//!   whole read API works through `&self` (partial-index memoization and
 //!   statistics are internally synchronized), so these reads overlap.
-//! * **Writes take the write guard**, the one arbiter of a write: mutate,
-//!   seal the WAL batch and publish the next epoch under it, then release
-//!   it *before* waiting on the group-commit fsync, so the next writer —
-//!   on any subtree — mutates while this one's durability is batched with
-//!   its neighbours'. WAL order is mutation order, and an ack waits for an
+//! * **Writes go through `with_write_durable`**, the durable-write path
+//!   the crash and concurrency batteries drive. Its write guard is the one
+//!   arbiter of a write: mutate, seal the WAL batch and publish the next
+//!   epoch under it (nothing, if the mutation failed), then release it
+//!   *before* waiting on the group-commit fsync, so the next writer — on
+//!   any subtree — mutates while this one's durability is batched with its
+//!   neighbours'. WAL order is mutation order, and an ack waits for an
 //!   fsync that covers its LSN and so every earlier one: an acknowledged
 //!   write never survives a crash without its predecessors.
 //!
 //! Readers of either kind see a published commit before its fsync (the
-//! visibility-before-durability contract, DESIGN.md §5g). The
-//! reader-writer lock and the epoch registry live on the store's catalog
-//! slot, so sessions on different stores share nothing and never contend.
+//! visibility-before-durability contract, DESIGN.md §5g). Each catalog
+//! slot holds its own handle, so sessions on different stores share
+//! nothing and never contend.
 
 use crate::metrics::EngineMetrics;
 use crate::stats::{ServerStats, Stat};
@@ -161,7 +165,7 @@ impl From<CatalogError> for ExecError {
 
 /// The shared execution engine: the store catalog plus the server's own
 /// counters. Shared by every session and worker; per-store state (the
-/// reader-writer lock, the epoch registry) lives on each catalog slot.
+/// store handle) lives on each catalog slot.
 pub(crate) struct Engine {
     catalog: Arc<Catalog>,
     stats: Arc<ServerStats>,
@@ -272,7 +276,7 @@ impl Engine {
             // reader-writer lock — this read cannot wait on any writer,
             // and no writer waits on it. The in-flight gauge still counts
             // it so overlap stays observable.
-            if let Some(snap) = slot.epochs.pin() {
+            if let Some(snap) = slot.store.epochs().pin() {
                 ServerStats::bump(&self.stats.reads_snapshot);
                 let _in_flight = self.stats.read_enter();
                 return self.run_read_data(req, opcode, &*snap);
@@ -382,8 +386,8 @@ impl Engine {
         };
         let inner = Frame::request_on(req.req_id, inner_op, req.store, inner_payload);
         let would_snapshot = self.mvcc && Self::snapshot_read(inner_op);
-        let epoch = slot.epochs.stats().current_epoch;
-        let log_seq = slot.store.read().decision_log().last_seq();
+        let epoch = slot.store.epochs().stats().current_epoch;
+        let log_seq = slot.store.with_read(|s| s.decision_log().last_seq());
 
         // A dedicated trace for the inner execution. `trace_begin`
         // discards the worker's trace of the Explain request itself, if
@@ -405,14 +409,13 @@ impl Engine {
             // Streamed responses: one `More` frame per row.
             _ => frames.len().saturating_sub(1) as u64,
         };
-        let decisions: Vec<String> = slot
-            .store
-            .read()
-            .decision_log()
-            .since(log_seq)
-            .iter()
-            .map(axs_core::AdaptEvent::render)
-            .collect();
+        let decisions: Vec<String> = slot.store.with_read(|s| {
+            s.decision_log()
+                .since(log_seq)
+                .iter()
+                .map(axs_core::AdaptEvent::render)
+                .collect()
+        });
 
         let mut p = Vec::new();
         p.push(trace.lookup_path_code());
@@ -486,24 +489,20 @@ impl Engine {
     }
 
     /// Executes the opcode body against the live store. Read opcodes run
-    /// under the store's shared guard. Write opcodes parse before taking
-    /// any guard, then mutate, seal the WAL batch and publish the epoch
-    /// under the store's write guard — the one arbiter of a write — and
-    /// wait on the shared group fsync after dropping it, so the next writer
-    /// mutates while this one waits.
+    /// under `with_read`. Write opcodes parse before taking any guard, then
+    /// run under `with_write_durable` — `with_write` for `Flush`, which is
+    /// its own durability point.
     fn run(&self, req: &Frame, opcode: OpCode, slot: &StoreSlot) -> Result<Vec<Frame>, ExecError> {
         use OpCode::*;
         match opcode {
             Ping | Sleep => self.run_control(req, opcode),
             ReadNode | Value | Children | Parent | Query | Flwor | ReadAll | Stats | Metrics
-            | Report | Ranges | Verify => {
-                let store = slot.store.read();
+            | Report | Ranges | Verify => slot.store.with_read(|store| {
                 // The guard keeps `reads_in_flight` honest even if the
-                // opcode body panics (satellite fix: previously a bare
-                // decrement that a panic would skip).
+                // opcode body panics.
                 let _in_flight = self.stats.read_enter();
-                self.run_read(req, opcode, &store, slot)
-            }
+                self.run_read(req, opcode, store)
+            }),
             BulkLoad | InsertFirst | InsertLast | InsertBefore | InsertAfter | Delete | Replace
             | Flush | Compact => {
                 // Decode and parse the payload before taking the store
@@ -511,21 +510,19 @@ impl Engine {
                 // and needs no physical access at all.
                 let payload = Self::parse_write_payload(req, opcode)?;
                 let _in_flight = self.stats.write_enter();
-                let (frames, ticket) = {
-                    let mut store = slot.store.write();
-                    let frames = self.run_write(req, opcode, payload, &mut store)?;
-                    // Flush is its own durability point; everything else
-                    // commits here and waits below, outside the guard.
-                    let ticket = if opcode == Flush {
-                        None
-                    } else {
-                        store.commit()?
-                    };
-                    (frames, ticket)
-                };
-                if let Some(ticket) = ticket {
+                let store = &slot.store;
+                if opcode == Flush {
+                    return store.with_write(|s| self.run_write(req, opcode, payload, s));
+                }
+                // `server.commit_waits` counts writes that wait on a group
+                // fsync; only a WAL-backed store's commit has one.
+                let mut waits = false;
+                let frames = store.with_write_durable(|s| {
+                    waits = s.group_commit_stats().is_some();
+                    self.run_write(req, opcode, payload, s)
+                })?;
+                if waits {
                     ServerStats::bump(&self.stats.commit_waits);
-                    ticket.wait().map_err(StoreError::from)?;
                 }
                 Ok(frames)
             }
@@ -673,13 +670,12 @@ impl Engine {
 
     /// Read-only opcodes on the live store: `store` is a shared borrow —
     /// any number of these run concurrently. Data reads delegate to the
-    /// generic body; admin reads inspect the live store and the slot.
+    /// generic body; admin reads inspect the live store.
     fn run_read(
         &self,
         req: &Frame,
         opcode: OpCode,
         store: &XmlStore,
-        slot: &StoreSlot,
     ) -> Result<Vec<Frame>, ExecError> {
         use OpCode::*;
         if Self::snapshot_read(opcode) {
@@ -691,7 +687,7 @@ impl Engine {
         let frames = match opcode {
             Stats => {
                 r.finish()?;
-                let entries = self.stat_entries(store, slot);
+                let entries = self.stat_entries(store);
                 let mut p = Vec::new();
                 put_u32(&mut p, entries.len() as u32);
                 for stat in entries {
@@ -702,7 +698,7 @@ impl Engine {
             }
             Metrics => {
                 r.finish()?;
-                let counters = self.stat_entries(store, slot);
+                let counters = self.stat_entries(store);
                 let text = self.metrics.prometheus_text(&counters);
                 let entries = self.metrics.extended_entries(&counters);
                 let mut p = Vec::new();
@@ -870,7 +866,7 @@ impl Engine {
     /// Stats opcode already holds; the `store.*`/`pool.*`/`partial.*`/
     /// `wal.*`/`mvcc.*` groups describe the store the request addressed,
     /// while `cat.*` and `server.*` are process-wide.
-    fn stat_entries(&self, store: &XmlStore, slot: &StoreSlot) -> Vec<Stat> {
+    fn stat_entries(&self, store: &XmlStore) -> Vec<Stat> {
         let mut out = Vec::with_capacity(60);
         {
             let s = store.stats();
@@ -947,14 +943,14 @@ impl Engine {
             // where the min-active-epoch watermark sits, and how much has
             // been reclaimed. `mvcc.snapshot_age_*` is the pin-time age of
             // the snapshot readers actually observed, in microseconds.
-            let m = slot.epochs.stats();
+            let m = store.mvcc_stats();
             out.push(Stat::counter("mvcc.current_epoch", m.current_epoch));
             out.push(Stat::gauge("mvcc.epochs_live", m.epochs_live));
             out.push(Stat::gauge("mvcc.oldest_pinned", m.oldest_pinned));
             out.push(Stat::counter("mvcc.retired_total", m.retired_total));
             out.push(Stat::gauge("mvcc.pins_active", m.pins_active));
             out.push(Stat::counter("mvcc.pins_total", m.pins_total));
-            let age = slot.epochs.age_snapshot();
+            let age = store.epoch_registry().age_snapshot();
             out.push(Stat::gauge(
                 "mvcc.snapshot_age_us_p50",
                 age.percentile(0.50),
@@ -1020,7 +1016,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use axs_core::StoreBuilder;
+    use axs_core::{ConcurrentStore, StoreBuilder};
     use axs_xml::serialize;
 
     /// A document that serializes to exactly `len` bytes with `ch` (a 2-,
@@ -1073,15 +1069,13 @@ mod tests {
                 if len > C {
                     assert!(!xml.is_char_boundary(C), "{len}: {ch} straddles {C}");
                 }
-                let mut store = StoreBuilder::new().build().unwrap();
+                let store = ConcurrentStore::new(StoreBuilder::new().build().unwrap());
                 if len > 0 {
-                    store
-                        .bulk_insert(parse_fragment(&xml, ParseOptions::data_centric()).unwrap())
-                        .unwrap();
-                    store.commit().unwrap();
+                    let tokens = parse_fragment(&xml, ParseOptions::data_centric()).unwrap();
+                    store.with_write_durable(|s| s.bulk_insert(tokens)).unwrap();
                 }
-                check(&store, &xml);
-                check(&*store.epoch_registry().pin().unwrap(), &xml);
+                store.with_read(|s| check(s, &xml));
+                check(&*store.epochs().pin().unwrap(), &xml);
             }
         }
     }

@@ -21,6 +21,15 @@ fn connect(handle: &ServerHandle) -> Client {
     client
 }
 
+/// The value of stat `name` in a `Stats` reply.
+fn stat(stats: &[axs_client::StatEntry], name: &str) -> u64 {
+    stats
+        .iter()
+        .find(|e| e.name == name)
+        .unwrap_or_else(|| panic!("stat {name} missing"))
+        .value
+}
+
 #[test]
 fn loopback_full_surface() {
     let handle = start_in_memory(ServerConfig::default());
@@ -54,13 +63,7 @@ fn loopback_full_surface() {
     assert_eq!(ids, [r#"id="1""#, r#"id="2""#]);
 
     let stats = c.stats().unwrap();
-    let get = |name: &str| {
-        stats
-            .iter()
-            .find(|e| e.name == name)
-            .unwrap_or_else(|| panic!("stat {name} missing"))
-            .value
-    };
+    let get = |name: &str| stat(&stats, name);
     assert!(get("store.inserts") >= 2, "bulkload + insert recorded");
     assert!(get("server.requests") >= 4);
     assert!(get("server.writes_exclusive") >= 2, "writes took the guard");
@@ -501,15 +504,8 @@ fn snapshot_reads_see_acknowledged_writes() {
 
     let (root, _) = c.bulk_load(r#"<doc><a>1</a></doc>"#).unwrap();
 
-    let get = |stats: &[axs_client::StatEntry], name: &str| {
-        stats
-            .iter()
-            .find(|e| e.name == name)
-            .unwrap_or_else(|| panic!("stat {name} missing"))
-            .value
-    };
     let before = c.stats().unwrap();
-    let snap0 = get(&before, "server.reads_snapshot");
+    let snap0 = stat(&before, "server.reads_snapshot");
 
     // Read-your-writes across the snapshot path: every acknowledged
     // insert is visible to the very next read.
@@ -524,16 +520,16 @@ fn snapshot_reads_see_acknowledged_writes() {
     let after = c.stats().unwrap();
     let reads = 8 * 2 + 1; // read_node + parent per round, plus the query
     assert_eq!(
-        get(&after, "server.reads_snapshot") - snap0,
+        stat(&after, "server.reads_snapshot") - snap0,
         reads,
         "every data read took the snapshot path"
     );
     assert!(
-        get(&after, "mvcc.current_epoch") >= 9,
+        stat(&after, "mvcc.current_epoch") >= 9,
         "one epoch per commit"
     );
     assert_eq!(
-        get(&after, "mvcc.pins_active"),
+        stat(&after, "mvcc.pins_active"),
         0,
         "pins are request-scoped"
     );
@@ -555,7 +551,7 @@ fn snapshot_reads_see_acknowledged_writes() {
     let (id, _) = c.insert_last(root, r#"<e n="0"/>"#).unwrap();
     assert!(c.read_node(id).unwrap().contains(r#"n="0""#));
     let stats = c.stats().unwrap();
-    assert_eq!(get(&stats, "server.reads_snapshot"), 0);
+    assert_eq!(stat(&stats, "server.reads_snapshot"), 0);
     live.shutdown();
     live.join().unwrap();
 }
@@ -563,7 +559,9 @@ fn snapshot_reads_see_acknowledged_writes() {
 /// Writers on one subtree share fsync batches. The store's write guard
 /// orders their mutations, and each writer waits for its group fsync only
 /// after releasing the guard, so the next writer on the same node commits
-/// into the open batch instead of waiting out the previous fsync.
+/// into the open batch instead of waiting out the previous fsync. Every
+/// acknowledged insert counts one `server.commit_waits`; a failed insert
+/// commits nothing and counts nothing.
 #[test]
 fn same_subtree_writers_share_an_fsync() {
     const WRITERS: usize = 4;
@@ -584,15 +582,17 @@ fn same_subtree_writers_share_an_fsync() {
     .unwrap();
     let mut c = connect(&handle);
     let (root, _) = c.bulk_load("<root/>").unwrap();
-    let mut stat = |name: &str| {
-        c.stats()
-            .unwrap()
-            .into_iter()
-            .find(|e| e.name == name)
-            .unwrap_or_else(|| panic!("stat {name} missing"))
-            .value
+    let counters = |c: &mut Client| {
+        let stats = c.stats().unwrap();
+        [
+            "wal.group_commits",
+            "wal.group_syncs",
+            "mvcc.current_epoch",
+            "server.commit_waits",
+        ]
+        .map(|n| stat(&stats, n))
     };
-    let (commits0, syncs0) = (stat("wal.group_commits"), stat("wal.group_syncs"));
+    let [commits0, syncs0, _, waits0] = counters(&mut c);
 
     // Every writer connects before any inserts, so they contend from the
     // first commit on.
@@ -611,9 +611,14 @@ fn same_subtree_writers_share_an_fsync() {
         }
     });
 
-    let commits = stat("wal.group_commits") - commits0;
-    let syncs = stat("wal.group_syncs") - syncs0;
+    let [commits, syncs, _, waits] = counters(&mut c);
+    let (commits, syncs) = (commits - commits0, syncs - syncs0);
     assert_eq!(commits, (WRITERS * EACH) as u64, "one commit per insert");
+    assert_eq!(
+        waits - waits0,
+        commits,
+        "one commit wait per acknowledged insert"
+    );
     assert!(
         syncs < commits,
         "same-subtree writers shared no fsync: {syncs} syncs for {commits} commits"
@@ -630,6 +635,15 @@ fn same_subtree_writers_share_an_fsync() {
         .collect();
     want.sort();
     assert_eq!(seen, want, "every acknowledged insert is present");
+
+    // A write that fails leaves no commit, no sync, no epoch and no wait.
+    let before = counters(&mut c);
+    let err = c.insert_last(999_999, "<w/>").unwrap_err();
+    assert!(
+        matches!(&err, ClientError::Server { code, .. } if format!("{code}") == "store"),
+        "{err}"
+    );
+    assert_eq!(counters(&mut c), before, "a failed insert moved a counter");
 
     drop(c);
     handle.shutdown();

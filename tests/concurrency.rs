@@ -15,7 +15,9 @@ fn producer_consumer_feed() {
     // Writers push purchase orders through a channel; a single applier
     // thread owns the store writes while readers snapshot concurrently.
     let store = ConcurrentStore::new(StoreBuilder::new().build().unwrap());
-    store.bulk_insert(frag("<purchase-orders/>")).unwrap();
+    store
+        .with_write(|s| s.bulk_insert(frag("<purchase-orders/>")))
+        .unwrap();
     let root = NodeId(1);
 
     let (tx, rx) = mpsc::sync_channel::<Vec<Token>>(16);
@@ -34,25 +36,27 @@ fn producer_consumer_feed() {
         }
         drop(tx);
 
-        let applier_store = store.clone();
+        let applier_store = &store;
         scope.spawn(move || {
             for order in rx.iter() {
-                applier_store.insert_into_last(root, order).unwrap();
+                applier_store
+                    .with_write(|s| s.insert_into_last(root, order))
+                    .unwrap();
             }
         });
 
         for _ in 0..2 {
-            let reader = store.clone();
+            let reader = &store;
             scope.spawn(move || {
                 for _ in 0..30 {
-                    let tokens = reader.read_all().unwrap();
+                    let tokens = reader.with_read(|s| s.read_all()).unwrap();
                     axs_xdm::fragment_well_formed(&tokens).unwrap();
                 }
             });
         }
     });
 
-    let tokens = store.read_all().unwrap();
+    let tokens = store.with_read(|s| s.read_all()).unwrap();
     let orders = tokens
         .iter()
         .filter(|t| t.name().is_some_and(|n| n.is_local("purchase-order")))
@@ -65,13 +69,13 @@ fn producer_consumer_feed() {
 fn mixed_writers_and_point_readers() {
     let store = ConcurrentStore::new(StoreBuilder::new().build().unwrap());
     store
-        .bulk_insert(frag("<root><a/><b/><c/><d/></root>"))
+        .with_write(|s| s.bulk_insert(frag("<root><a/><b/><c/><d/></root>")))
         .unwrap();
 
     std::thread::scope(|scope| {
         // Two writers appending under different subtrees.
         for (t, target) in [(0u64, 2u64), (1, 3)] {
-            let store = store.clone();
+            let store = &store;
             scope.spawn(move || {
                 for i in 0..30 {
                     store
@@ -87,23 +91,23 @@ fn mixed_writers_and_point_readers() {
         }
         // Point readers over stable targets.
         for _ in 0..3 {
-            let store = store.clone();
+            let store = &store;
             scope.spawn(move || {
                 for _ in 0..60 {
-                    let sub = store.read_node(NodeId(4)).unwrap();
+                    let sub = store.with_read(|s| s.read_node(NodeId(4))).unwrap();
                     assert_eq!(sub[0].name().unwrap().local_part(), "c");
                 }
             });
         }
         // A deleter on an isolated subtree.
-        let deleter = store.clone();
+        let deleter = &store;
         scope.spawn(move || {
-            deleter.delete_node(NodeId(5)).unwrap(); // <d/>
+            deleter.with_write(|s| s.delete_node(NodeId(5))).unwrap(); // <d/>
         });
     });
 
     store.with_read(|s| s.check_invariants()).unwrap();
-    let tokens = store.read_all().unwrap();
+    let tokens = store.with_read(|s| s.read_all()).unwrap();
     let xs = tokens
         .iter()
         .filter(|t| t.name().is_some_and(|n| n.is_local("x")))

@@ -410,9 +410,9 @@ fn snapshot_readers_pinned_at_crash_points_stay_frozen() {
 }
 
 /// Multi-writer crash matrix: several writers commit concurrently on
-/// *disjoint subtrees* through the one write path
+/// *disjoint subtrees* through the one write path — the server's
 /// (`ConcurrentStore::with_write_durable`: mutate, seal and publish under
-/// the store guard, group-fsync wait outside it), then the WAL is torn at
+/// the store guard, group-fsync wait outside it) — then the WAL is torn at
 /// every sampled byte length. Each commit wraps TWO sibling elements, so
 /// recovery must honor three properties at every tear point:
 ///
@@ -454,7 +454,7 @@ fn multi_writer_crash_matrix_recovers_per_writer_prefixes() {
     let barrier = std::sync::Barrier::new(WRITERS);
     std::thread::scope(|scope| {
         for (t, &subtree) in subtrees.iter().enumerate() {
-            let store = store.clone();
+            let store = &store;
             let barrier = &barrier;
             scope.spawn(move || {
                 barrier.wait();
@@ -467,7 +467,6 @@ fn multi_writer_crash_matrix_recovers_per_writer_prefixes() {
                     .unwrap();
                     store
                         .with_write_durable(|s| s.insert_into_last(subtree, frag))
-                        .unwrap()
                         .unwrap();
                 }
             });

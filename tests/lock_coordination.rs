@@ -35,7 +35,7 @@ fn resource_of(store: &ConcurrentStore, id: NodeId) -> Resource {
 fn two_phase_transactions_over_disjoint_subtrees() {
     let store = ConcurrentStore::new(StoreBuilder::new().build().unwrap());
     store
-        .bulk_insert(frag("<root><left/><right/></root>"))
+        .with_write(|s| s.bulk_insert(frag("<root><left/><right/></root>")))
         .unwrap();
     let mgr = Arc::new(LockManager::new());
     let left = NodeId(2);
@@ -43,35 +43,37 @@ fn two_phase_transactions_over_disjoint_subtrees() {
 
     std::thread::scope(|scope| {
         for (target, label) in [(left, "l"), (right, "r")] {
-            let store = store.clone();
+            let store = &store;
             let mgr = mgr.clone();
             scope.spawn(move || {
                 for i in 0..30 {
                     let tx = mgr.begin();
-                    let res = resource_of(&store, target);
+                    let res = resource_of(store, target);
                     mgr.lock(tx, res, LockMode::X).unwrap();
                     store
-                        .insert_into_last(target, frag(&format!("<{label} i=\"{i}\"/>")))
+                        .with_write(|s| {
+                            s.insert_into_last(target, frag(&format!("<{label} i=\"{i}\"/>")))
+                        })
                         .unwrap();
                     mgr.unlock_all(tx);
                 }
             });
         }
         // A scanner takes S on the whole store per pass.
-        let store2 = store.clone();
+        let store2 = &store;
         let mgr2 = mgr.clone();
         scope.spawn(move || {
             for _ in 0..20 {
                 let tx = mgr2.begin();
                 mgr2.lock(tx, Resource::Store, LockMode::S).unwrap();
-                let tokens = store2.read_all().unwrap();
+                let tokens = store2.with_read(|s| s.read_all()).unwrap();
                 axs_xdm::fragment_well_formed(&tokens).unwrap();
                 mgr2.unlock_all(tx);
             }
         });
     });
 
-    let tokens = store.read_all().unwrap();
+    let tokens = store.with_read(|s| s.read_all()).unwrap();
     let count = |n: &str| {
         tokens
             .iter()
@@ -87,7 +89,9 @@ fn two_phase_transactions_over_disjoint_subtrees() {
 #[test]
 fn deadlocked_transactions_abort_and_retry() {
     let store = ConcurrentStore::new(StoreBuilder::new().build().unwrap());
-    store.bulk_insert(frag("<root><a/><b/></root>")).unwrap();
+    store
+        .with_write(|s| s.bulk_insert(frag("<root><a/><b/></root>")))
+        .unwrap();
     let mgr = Arc::new(LockManager::new());
     let a = NodeId(2);
     let b = NodeId(3);
@@ -96,7 +100,7 @@ fn deadlocked_transactions_abort_and_retry() {
     // with deadlock detection plus retry both must finish.
     std::thread::scope(|scope| {
         for order in [[a, b], [b, a]] {
-            let store = store.clone();
+            let store = &store;
             let mgr = mgr.clone();
             scope.spawn(move || {
                 let mut committed = 0;
@@ -104,7 +108,7 @@ fn deadlocked_transactions_abort_and_retry() {
                     let tx = mgr.begin();
                     let mut aborted = false;
                     for id in order {
-                        let res = resource_of(&store, id);
+                        let res = resource_of(store, id);
                         match mgr.lock(tx, res, LockMode::X) {
                             Ok(()) => {}
                             Err(axs_lock::LockError::Deadlock { .. }) => {
@@ -114,7 +118,9 @@ fn deadlocked_transactions_abort_and_retry() {
                         }
                     }
                     if !aborted {
-                        store.insert_into_last(order[0], frag("<w/>")).unwrap();
+                        store
+                            .with_write(|s| s.insert_into_last(order[0], frag("<w/>")))
+                            .unwrap();
                         committed += 1;
                     }
                     mgr.unlock_all(tx);
@@ -123,7 +129,7 @@ fn deadlocked_transactions_abort_and_retry() {
         }
     });
 
-    let tokens = store.read_all().unwrap();
+    let tokens = store.with_read(|s| s.read_all()).unwrap();
     let ws = tokens
         .iter()
         .filter(|t| t.name().is_some_and(|q| q.is_local("w")))
