@@ -66,6 +66,32 @@ impl RangeHeader {
             token_count: u32::from_le_bytes(payload[20..24].try_into().unwrap()),
         })
     }
+
+    /// Decodes the header and checks the payload against it without
+    /// building tokens: a borrowed pass over the encoded tokens rejects
+    /// exactly what [`RangeData::decode`] rejects.
+    pub fn decode_checked(payload: &[u8]) -> Result<RangeHeader, StoreError> {
+        let header = RangeHeader::decode(payload)?;
+        let body = &payload[RANGE_HEADER_LEN..];
+        let (mut pos, mut tokens, mut ids) = (0, 0usize, 0u64);
+        while pos < body.len() {
+            let tok = codec::decode_token_ref(body, &mut pos)?;
+            tokens += 1;
+            ids += u64::from(tok.kind().consumes_id());
+        }
+        header.check_counts(tokens, ids)?;
+        Ok(header)
+    }
+
+    fn check_counts(&self, tokens: usize, ids: u64) -> Result<(), StoreError> {
+        if tokens != self.token_count as usize {
+            return Err(StoreError::Corrupt("range token count mismatch"));
+        }
+        if ids != u64::from(self.id_count) {
+            return Err(StoreError::Corrupt("range id count mismatch"));
+        }
+        Ok(())
+    }
 }
 
 /// A fully decoded range: header plus tokens.
@@ -115,12 +141,7 @@ impl RangeData {
     pub fn decode(payload: &[u8]) -> Result<RangeData, StoreError> {
         let header = RangeHeader::decode(payload)?;
         let tokens = codec::decode_tokens(&payload[RANGE_HEADER_LEN..])?;
-        if tokens.len() != header.token_count as usize {
-            return Err(StoreError::Corrupt("range token count mismatch"));
-        }
-        if count_ids(&tokens) != u64::from(header.id_count) {
-            return Err(StoreError::Corrupt("range id count mismatch"));
-        }
+        header.check_counts(tokens.len(), count_ids(&tokens))?;
         Ok(RangeData { header, tokens })
     }
 
@@ -262,6 +283,31 @@ mod tests {
         assert_eq!(back, r);
         assert_eq!(back.header.id_count, 5);
         assert_eq!(back.header.token_count, 8);
+    }
+
+    #[test]
+    fn checked_header_rejects_what_decode_rejects() {
+        let bytes = RangeData::new(7, NodeId(100), ticket_tokens()).encode();
+        assert_eq!(
+            RangeHeader::decode_checked(&bytes).unwrap(),
+            RangeData::decode(&bytes).unwrap().header
+        );
+        let tampered = |at: usize, byte: u8| {
+            let mut b = bytes.clone();
+            b[at] = byte;
+            b
+        };
+        for bad in [
+            tampered(20, 9),                        // token_count
+            tampered(16, 4),                        // id_count
+            tampered(RANGE_HEADER_LEN, 0xee),       // first token tag
+            bytes[..RANGE_HEADER_LEN - 1].to_vec(), // short header
+            bytes[..bytes.len() - 1].to_vec(),      // truncated token
+        ] {
+            let full = RangeData::decode(&bad).unwrap_err().to_string();
+            let checked = RangeHeader::decode_checked(&bad).unwrap_err().to_string();
+            assert_eq!(full, checked);
+        }
     }
 
     #[test]

@@ -219,9 +219,10 @@ impl StoreBuilder {
     }
 
     /// Opens an existing directory-backed store: runs crash recovery
-    /// (repair torn file tails, replay committed WAL batches, discard the
-    /// rest), then rebuilds the indexes by scanning the data file (indexes
-    /// are derived data).
+    /// (repair torn file tails, write each page's last committed WAL image
+    /// once, discard the rest), then rebuilds the indexes by scanning the
+    /// data file (indexes are derived data). Every range on the chain is
+    /// validated; only the Full Index policy decodes its tokens.
     pub fn open(self) -> Result<XmlStore, StoreError> {
         let dir = self
             .dir
@@ -242,26 +243,25 @@ impl StoreBuilder {
         }
         // 2. Scan the WAL: committed batches are replayed (redo), the torn
         //    or uncommitted tail is discarded — those flushes never promised
-        //    durability.
+        //    durability. Replay writes each page once: its last committed
+        //    image, stamped with that image's LSN, in page order.
         let (mut wal, scan) = Wal::recover(&dir.join("wal.log"), page_size)?;
         wal.group_commit().set_window(self.commit_window);
         if scan.torn_tail_bytes > 0 {
             torn_tails += 1;
         }
-        let replayed: u64 = scan.batches.iter().map(|b| b.len() as u64).sum();
-        if replayed > 0 {
+        let images = scan.last_images();
+        let replayed = !images.is_empty();
+        if replayed {
             let raw = FilePageStore::open(&data_path, page_size)?;
-            for batch in &scan.batches {
-                for img in batch {
-                    // The torn page dropped in step 1 may be one the batch
-                    // rewrites; re-extend the file as needed.
-                    while img.page.0 >= raw.num_pages() {
-                        raw.allocate_page()?;
-                    }
-                    let mut page = img.image.clone();
-                    checksum::stamp_page(&mut page, img.lsn);
-                    raw.write_page(img.page, &page)?;
+            for mut img in images {
+                // The torn page dropped in step 1 may be one an image
+                // rewrites; re-extend the file as needed.
+                while img.page.0 >= raw.num_pages() {
+                    raw.allocate_page()?;
                 }
+                checksum::stamp_page(&mut img.image, img.lsn);
+                raw.write_page(img.page, &img.image)?;
             }
             raw.sync()?;
         }
@@ -297,10 +297,10 @@ impl StoreBuilder {
         store.ids = MonotonicIds::resume(NodeId(next_id.max(NodeId::FIRST.0)));
         store.next_range_id = next_range.max(1);
         store.free_head = free_head;
-        store.stats.recoveries.store(
-            u64::from(replayed > 0),
-            std::sync::atomic::Ordering::Relaxed,
-        );
+        store
+            .stats
+            .recoveries
+            .store(u64::from(replayed), std::sync::atomic::Ordering::Relaxed);
         store
             .stats
             .torn_tail_truncations
@@ -1735,6 +1735,10 @@ impl XmlStore {
 
     /// Rebuilds the range directory, Range Index, and (if configured) Full
     /// Index by scanning the block chain. Used by [`StoreBuilder::open`].
+    ///
+    /// Only the Full Index needs each range's tokens. Without it a range is
+    /// validated by the borrowed pass of [`RangeHeader::decode_checked`],
+    /// which rejects what a full decode rejects but builds nothing.
     fn rebuild_indexes(&mut self) -> Result<(), StoreError> {
         self.range_dir.clear();
         self.range_index = RangeIndex::create(self.index_pool.clone())?;
@@ -1745,16 +1749,23 @@ impl XmlStore {
         };
         let mut pos = self.first_range_pos()?;
         while let Some((b, s)) = pos {
-            let data = self.load_range_at(b, s)?;
-            self.range_dir.insert(data.header.range_id, b);
-            if let Some(iv) = data.header.interval() {
+            let header = if self.full_index.is_some() {
+                let data = self.load_range_at(b, s)?;
+                self.reindex_full(&data)?;
+                data.header
+            } else {
+                self.data_pool.read(b, |buf| {
+                    RangeHeader::decode_checked(block::range_bytes(buf, b, s)?)
+                })??
+            };
+            self.range_dir.insert(header.range_id, b);
+            if let Some(iv) = header.interval() {
                 self.range_index.insert(RangeEntry {
                     interval: iv,
                     block: b,
-                    range_id: data.header.range_id,
+                    range_id: header.range_id,
                 })?;
             }
-            self.reindex_full(&data)?;
             pos = self.next_range_pos(b, s)?;
         }
         Ok(())

@@ -16,6 +16,13 @@
 //! ```
 //!
 //! All fields are little-endian. The record CRC covers `kind ..= payload`.
+//! A page image's payload is the page up to its last non-zero byte, so
+//! `len <= page_size`; the scan zero-fills it back to a full page, and a
+//! record claiming more than `page_size` bytes is torn. Version 1 logs
+//! held full images only (`len == page_size`) and are still read; they are
+//! relabelled version 2 before the first append or at [`Wal::reset`], so
+//! no log holding a short image is ever labelled version 1.
+//!
 //! LSNs are assigned monotonically per log lifetime; recovery resumes the
 //! counter past the highest LSN it saw. A scan stops at the first record
 //! that is incomplete or fails its CRC — everything after that offset is a
@@ -40,6 +47,7 @@
 use crate::error::StorageError;
 use crate::page::PageId;
 use parking_lot::{Condvar, Mutex};
+use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
 use std::path::Path;
@@ -48,7 +56,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 const MAGIC: u64 = u64::from_le_bytes(*b"AXS_WAL\0");
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
+/// The previous format: every page image logged at full page size.
+const VERSION_FULL_IMAGES: u32 = 1;
 const HEADER_LEN: u64 = 16;
 /// kind u8 + lsn u64 + page u64 + len u32.
 const RECORD_HEADER_LEN: usize = 21;
@@ -57,7 +67,8 @@ const TRAILER_LEN: usize = 4;
 /// Kinds of log records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecordKind {
-    /// Full image of one data page, part of the batch in progress.
+    /// Image of one data page (trailing zeros elided), part of the batch
+    /// in progress.
     PageImage = 1,
     /// Seals the batch appended since the previous commit.
     Commit = 2,
@@ -84,6 +95,19 @@ pub struct WalRecovery {
     pub torn_tail_bytes: u64,
     /// Complete page-image records that were never sealed by a commit.
     pub uncommitted_records: u64,
+}
+
+impl WalRecovery {
+    /// The last committed image of each page, in page order. Writing just
+    /// these reproduces what replaying every batch in order would: later
+    /// batches win, and the uncommitted tail is not in `batches` at all.
+    pub fn last_images(self) -> Vec<RecoveredImage> {
+        let mut last = BTreeMap::new();
+        for img in self.batches.into_iter().flatten() {
+            last.insert(img.page, img);
+        }
+        last.into_values().collect()
+    }
 }
 
 /// Number of buckets in the group-commit batch-size histogram: batches of
@@ -286,6 +310,8 @@ impl CommitTicket {
 pub struct Wal {
     file: File,
     page_size: usize,
+    /// Format version in the file's header.
+    version: u32,
     /// Next byte offset to append at.
     end: u64,
     /// Next LSN to assign.
@@ -310,21 +336,30 @@ impl Wal {
     pub fn create(path: &Path, page_size: usize) -> Result<Wal, StorageError> {
         let file = open_file(path)?;
         file.set_len(0)?;
-        let mut header = [0u8; HEADER_LEN as usize];
-        header[0..8].copy_from_slice(&MAGIC.to_le_bytes());
-        header[8..12].copy_from_slice(&VERSION.to_le_bytes());
-        header[12..16].copy_from_slice(&(page_size as u32).to_le_bytes());
-        file.write_all_at(&header, 0)?;
-        file.sync_data()?;
         let group = GroupCommit::new(file.try_clone()?);
-        Ok(Wal {
+        let mut wal = Wal {
             file,
             page_size,
+            version: 0,
             end: HEADER_LEN,
             next_lsn: 1,
             appended: 0,
             group,
-        })
+        };
+        wal.write_header()?;
+        wal.file.sync_data()?;
+        Ok(wal)
+    }
+
+    /// Writes the current-version header over the first 16 bytes.
+    fn write_header(&mut self) -> Result<(), StorageError> {
+        let mut header = [0u8; HEADER_LEN as usize];
+        header[0..8].copy_from_slice(&MAGIC.to_le_bytes());
+        header[8..12].copy_from_slice(&VERSION.to_le_bytes());
+        header[12..16].copy_from_slice(&(self.page_size as u32).to_le_bytes());
+        self.file.write_all_at(&header, 0)?;
+        self.version = VERSION;
+        Ok(())
     }
 
     /// Opens (creating if missing) the log at `path` and scans it for
@@ -354,7 +389,7 @@ impl Wal {
         let magic = u64::from_le_bytes(buf[0..8].try_into().unwrap());
         let version = u32::from_le_bytes(buf[8..12].try_into().unwrap());
         let ps = u32::from_le_bytes(buf[12..16].try_into().unwrap());
-        if magic != MAGIC || version != VERSION {
+        if magic != MAGIC || !(VERSION_FULL_IMAGES..=VERSION).contains(&version) {
             return Err(StorageError::BadConfig("not a recognized WAL file"));
         }
         if ps as usize != page_size {
@@ -369,16 +404,20 @@ impl Wal {
         let mut offset = HEADER_LEN as usize;
         let mut valid_end = offset;
         while offset < buf.len() {
-            let Some(record) = parse_record(&buf[offset..], page_size) else {
+            let Some(record) = parse_record(&buf[offset..], page_size, version) else {
                 break; // torn or corrupt tail
             };
             max_lsn = max_lsn.max(record.lsn);
             match record.kind {
-                RecordKind::PageImage => pending.push(RecoveredImage {
-                    page: PageId(record.page),
-                    lsn: record.lsn,
-                    image: record.payload,
-                }),
+                RecordKind::PageImage => {
+                    let mut image = vec![0u8; page_size];
+                    image[..record.payload.len()].copy_from_slice(record.payload);
+                    pending.push(RecoveredImage {
+                        page: PageId(record.page),
+                        lsn: record.lsn,
+                        image,
+                    });
+                }
                 RecordKind::Commit => recovery.batches.push(std::mem::take(&mut pending)),
             }
             offset += record.total_len;
@@ -391,6 +430,7 @@ impl Wal {
             Wal {
                 file,
                 page_size,
+                version,
                 end: valid_end as u64,
                 next_lsn: max_lsn + 1,
                 appended: 0,
@@ -401,10 +441,12 @@ impl Wal {
     }
 
     /// Appends a page-image record, returning its LSN. Not yet durable —
-    /// call [`Wal::commit`] to seal the batch.
+    /// call [`Wal::commit`] to seal the batch. The page is logged up to its
+    /// last non-zero byte; recovery restores the zeros.
     pub fn append_image(&mut self, page: PageId, image: &[u8]) -> Result<u64, StorageError> {
         assert_eq!(image.len(), self.page_size, "image must be one page");
-        let lsn = self.append(RecordKind::PageImage, page.0, image)?;
+        let len = image.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
+        let lsn = self.append(RecordKind::PageImage, page.0, &image[..len])?;
         Ok(lsn)
     }
 
@@ -438,6 +480,11 @@ impl Wal {
 
     fn append(&mut self, kind: RecordKind, page: u64, payload: &[u8]) -> Result<u64, StorageError> {
         let probe = axs_obs::probe_start();
+        if self.version != VERSION {
+            // Full-image records are valid in the current format; short
+            // ones are not valid in the old one.
+            self.write_header()?;
+        }
         let lsn = self.next_lsn;
         let mut rec = Vec::with_capacity(RECORD_HEADER_LEN + payload.len() + TRAILER_LEN);
         rec.push(kind as u8);
@@ -456,7 +503,8 @@ impl Wal {
     }
 
     /// Truncates the log back to its header (checkpoint: the data file now
-    /// holds everything the last commit promised).
+    /// holds everything the last commit promised), relabelling an older
+    /// log with the current version.
     ///
     /// Outstanding [`CommitTicket`]s are released first: reset only runs
     /// after the data file itself is synced, so every commit appended so
@@ -466,6 +514,9 @@ impl Wal {
         self.group
             .mark_synced_through(self.next_lsn.saturating_sub(1));
         self.file.set_len(HEADER_LEN)?;
+        if self.version != VERSION {
+            self.write_header()?;
+        }
         self.file.sync_data()?;
         self.end = HEADER_LEN;
         Ok(())
@@ -482,16 +533,17 @@ impl Wal {
     }
 }
 
-struct ParsedRecord {
+struct ParsedRecord<'a> {
     kind: RecordKind,
     lsn: u64,
     page: u64,
-    payload: Vec<u8>,
+    payload: &'a [u8],
     total_len: usize,
 }
 
-/// Parses one record at the start of `buf`; `None` for torn/corrupt data.
-fn parse_record(buf: &[u8], page_size: usize) -> Option<ParsedRecord> {
+/// Parses one record at the start of `buf`, written in format `version`;
+/// `None` for torn/corrupt data.
+fn parse_record(buf: &[u8], page_size: usize, version: u32) -> Option<ParsedRecord<'_>> {
     if buf.len() < RECORD_HEADER_LEN + TRAILER_LEN {
         return None;
     }
@@ -503,11 +555,12 @@ fn parse_record(buf: &[u8], page_size: usize) -> Option<ParsedRecord> {
     let lsn = u64::from_le_bytes(buf[1..9].try_into().unwrap());
     let page = u64::from_le_bytes(buf[9..17].try_into().unwrap());
     let len = u32::from_le_bytes(buf[17..21].try_into().unwrap()) as usize;
-    let expected = match kind {
-        RecordKind::PageImage => page_size,
-        RecordKind::Commit => 0,
+    let len_ok = match kind {
+        RecordKind::PageImage if version == VERSION_FULL_IMAGES => len == page_size,
+        RecordKind::PageImage => len <= page_size,
+        RecordKind::Commit => len == 0,
     };
-    if len != expected {
+    if !len_ok {
         return None;
     }
     let total_len = RECORD_HEADER_LEN + len + TRAILER_LEN;
@@ -523,7 +576,7 @@ fn parse_record(buf: &[u8], page_size: usize) -> Option<ParsedRecord> {
         kind,
         lsn,
         page,
-        payload: buf[RECORD_HEADER_LEN..RECORD_HEADER_LEN + len].to_vec(),
+        payload: &buf[RECORD_HEADER_LEN..RECORD_HEADER_LEN + len],
         total_len,
     })
 }
@@ -724,6 +777,149 @@ mod tests {
         assert_eq!(gc_bucket(16), 5);
         assert_eq!(gc_bucket(17), 6);
         assert_eq!(gc_bucket(1000), 6);
+    }
+
+    /// A page of `fill` whose last `zeros` bytes are zero.
+    fn zero_tailed(fill: u8, zeros: usize) -> Vec<u8> {
+        let mut img = image(fill);
+        img[PS - zeros..].fill(0);
+        img
+    }
+
+    fn log_len(path: &Path) -> u64 {
+        std::fs::metadata(path).unwrap().len()
+    }
+
+    #[test]
+    fn last_committed_image_wins_once_per_page() {
+        let path = temp_wal("last-image");
+        let (p, q) = (PageId(4), PageId(2));
+        let mut lsns = Vec::new();
+        {
+            let mut wal = Wal::create(&path, PS).unwrap();
+            for batch in [&[(p, 1), (q, 2)][..], &[(p, 3)], &[(q, 4), (p, 5)]] {
+                for &(page, fill) in batch {
+                    lsns.push((page, fill, wal.append_image(page, &image(fill)).unwrap()));
+                }
+                wal.commit().unwrap();
+            }
+            wal.append_image(p, &image(9)).unwrap(); // never committed
+        }
+        let (_, rec) = Wal::recover(&path, PS).unwrap();
+        assert_eq!(rec.batches.len(), 3);
+        assert_eq!(rec.uncommitted_records, 1);
+        let lsn_of = |page, fill| {
+            lsns.iter()
+                .find(|&&(pg, f, _)| pg == page && f == fill)
+                .unwrap()
+                .2
+        };
+        let last: Vec<_> = rec
+            .last_images()
+            .into_iter()
+            .map(|img| (img.page, img.image, img.lsn))
+            .collect();
+        assert_eq!(
+            last,
+            vec![(q, image(4), lsn_of(q, 4)), (p, image(5), lsn_of(p, 5))]
+        );
+    }
+
+    #[test]
+    fn zero_tails_are_not_logged() {
+        let path = temp_wal("short");
+        let mut wal = Wal::create(&path, PS).unwrap();
+        for zeros in [0, 1, 7, PS - 1, PS] {
+            let before = log_len(&path);
+            wal.append_image(PageId(1), &zero_tailed(3, zeros)).unwrap();
+            let grew = (log_len(&path) - before) as usize;
+            assert_eq!(
+                grew,
+                RECORD_HEADER_LEN + PS - zeros + TRAILER_LEN,
+                "zeros {zeros}"
+            );
+        }
+        wal.commit().unwrap();
+        drop(wal);
+        let (_, rec) = Wal::recover(&path, PS).unwrap();
+        let images: Vec<_> = rec.batches[0].iter().map(|i| i.image.clone()).collect();
+        let expected: Vec<_> = [0, 1, 7, PS - 1, PS]
+            .into_iter()
+            .map(|zeros| zero_tailed(3, zeros))
+            .collect();
+        assert_eq!(images, expected, "replay restores every byte");
+        assert_eq!(images[4], vec![0u8; PS], "an all-zero image recovers");
+    }
+
+    #[test]
+    fn version_one_log_recovers_and_is_relabelled() {
+        let path = temp_wal("v1");
+        {
+            // Full images only: exactly what a version-1 writer logged.
+            let mut wal = Wal::create(&path, PS).unwrap();
+            wal.append_image(PageId(1), &image(1)).unwrap();
+            wal.commit().unwrap();
+        }
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[8..12].copy_from_slice(&VERSION_FULL_IMAGES.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let (mut wal, rec) = Wal::recover(&path, PS).unwrap();
+        assert_eq!(rec.batches.len(), 1);
+        assert_eq!(rec.batches[0][0].image, image(1));
+        assert_eq!(rec.torn_tail_bytes, 0);
+        wal.reset().unwrap();
+        let header = std::fs::read(&path).unwrap();
+        assert_eq!(header.len() as u64, HEADER_LEN);
+        assert_eq!(u32::from_le_bytes(header[8..12].try_into().unwrap()), 2);
+    }
+
+    #[test]
+    fn version_one_log_is_relabelled_before_a_short_append() {
+        let path = temp_wal("v1-append");
+        drop(Wal::create(&path, PS).unwrap());
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[8..12].copy_from_slice(&VERSION_FULL_IMAGES.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let (mut wal, _) = Wal::recover(&path, PS).unwrap();
+        wal.append_image(PageId(1), &zero_tailed(5, 10)).unwrap();
+        wal.commit().unwrap();
+        drop(wal);
+        let (_, rec) = Wal::recover(&path, PS).unwrap();
+        assert_eq!(rec.batches.len(), 1, "the short image is not read as torn");
+        assert_eq!(rec.batches[0][0].image, zero_tailed(5, 10));
+    }
+
+    #[test]
+    fn image_longer_than_a_page_is_torn() {
+        let path = temp_wal("overlong");
+        {
+            let mut wal = Wal::create(&path, PS).unwrap();
+            wal.append_image(PageId(1), &image(1)).unwrap();
+            wal.commit().unwrap();
+        }
+        let valid = log_len(&path);
+        // A well-formed record, CRC included, one byte longer than a page.
+        let mut rec = vec![RecordKind::PageImage as u8];
+        rec.extend_from_slice(&9u64.to_le_bytes());
+        rec.extend_from_slice(&2u64.to_le_bytes());
+        rec.extend_from_slice(&((PS + 1) as u32).to_le_bytes());
+        rec.extend_from_slice(&vec![7u8; PS + 1]);
+        let crc = crate::checksum::crc32(&rec);
+        rec.extend_from_slice(&crc.to_le_bytes());
+        let mut commit = vec![RecordKind::Commit as u8];
+        commit.extend_from_slice(&10u64.to_le_bytes());
+        commit.extend_from_slice(&0u64.to_le_bytes());
+        commit.extend_from_slice(&0u32.to_le_bytes());
+        let crc = crate::checksum::crc32(&commit);
+        commit.extend_from_slice(&crc.to_le_bytes());
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.extend_from_slice(&rec);
+        bytes.extend_from_slice(&commit);
+        std::fs::write(&path, &bytes).unwrap();
+        let (wal, scan) = Wal::recover(&path, PS).unwrap();
+        assert_eq!(scan.batches.len(), 1);
+        assert_eq!(scan.torn_tail_bytes, bytes.len() as u64 - valid);
+        assert_eq!(wal.next_lsn(), 3, "nothing past the torn record was read");
     }
 
     #[test]

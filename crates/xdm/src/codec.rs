@@ -122,9 +122,11 @@ fn read_annotation(buf: &[u8], pos: &mut usize) -> Result<TypeAnnotation, CodecE
     TypeAnnotation::from_tag(byte).ok_or(CodecError::BadAnnotation(byte))
 }
 
-fn read_qname(buf: &[u8], pos: &mut usize) -> Result<QName, CodecError> {
+fn read_qname<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a str, CodecError> {
     let s = read_lpstr(buf, pos)?;
-    QName::parse(s).ok_or_else(|| CodecError::BadName(s.to_string()))
+    QName::split_lexical(s)
+        .map(|_| s)
+        .ok_or_else(|| CodecError::BadName(s.to_string()))
 }
 
 /// Appends the wire form of `token` to `out`.
@@ -176,26 +178,132 @@ pub fn encoded_len(token: &Token) -> usize {
     }
 }
 
-/// Decodes one token from `buf[*pos..]`, advancing `pos`.
-pub fn decode_token(buf: &[u8], pos: &mut usize) -> Result<Token, CodecError> {
+/// A token decoded in place: names and values borrow the encoded bytes.
+///
+/// [`decode_token_ref`] checks everything [`decode_token`] checks (tag,
+/// annotation, UTF-8, QName shape) without allocating, so a pass that only
+/// needs kinds or counts can validate a payload without building tokens.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TokenRef<'a> {
+    /// See [`Token::BeginDocument`].
+    BeginDocument,
+    /// See [`Token::EndDocument`].
+    EndDocument,
+    /// See [`Token::BeginElement`]; `name` is the lexical QName.
+    BeginElement {
+        /// Lexical element name (`prefix:local` or `local`).
+        name: &'a str,
+        /// Type annotation.
+        type_ann: TypeAnnotation,
+    },
+    /// See [`Token::EndElement`].
+    EndElement,
+    /// See [`Token::BeginAttribute`]; `name` is the lexical QName.
+    BeginAttribute {
+        /// Lexical attribute name.
+        name: &'a str,
+        /// Attribute value.
+        value: &'a str,
+        /// Type annotation.
+        type_ann: TypeAnnotation,
+    },
+    /// See [`Token::EndAttribute`].
+    EndAttribute,
+    /// See [`Token::Text`].
+    Text {
+        /// Character content.
+        value: &'a str,
+        /// Type annotation.
+        type_ann: TypeAnnotation,
+    },
+    /// See [`Token::Comment`].
+    Comment {
+        /// Comment content.
+        value: &'a str,
+    },
+    /// See [`Token::ProcessingInstruction`].
+    ProcessingInstruction {
+        /// PI target.
+        target: &'a str,
+        /// PI content.
+        value: &'a str,
+    },
+}
+
+impl TokenRef<'_> {
+    /// The token's kind.
+    pub fn kind(&self) -> TokenKind {
+        match self {
+            TokenRef::BeginDocument => TokenKind::BeginDocument,
+            TokenRef::EndDocument => TokenKind::EndDocument,
+            TokenRef::BeginElement { .. } => TokenKind::BeginElement,
+            TokenRef::EndElement => TokenKind::EndElement,
+            TokenRef::BeginAttribute { .. } => TokenKind::BeginAttribute,
+            TokenRef::EndAttribute => TokenKind::EndAttribute,
+            TokenRef::Text { .. } => TokenKind::Text,
+            TokenRef::Comment { .. } => TokenKind::Comment,
+            TokenRef::ProcessingInstruction { .. } => TokenKind::ProcessingInstruction,
+        }
+    }
+
+    /// An owned copy of the token.
+    pub fn to_token(&self) -> Token {
+        match *self {
+            TokenRef::BeginDocument => Token::BeginDocument,
+            TokenRef::EndDocument => Token::EndDocument,
+            TokenRef::EndElement => Token::EndElement,
+            TokenRef::EndAttribute => Token::EndAttribute,
+            // Names were shape-checked at decode time, so `From<&str>`
+            // takes its parse branch, never its fallback.
+            TokenRef::BeginElement { name, type_ann } => Token::BeginElement {
+                name: QName::from(name),
+                type_ann,
+            },
+            TokenRef::BeginAttribute {
+                name,
+                value,
+                type_ann,
+            } => Token::BeginAttribute {
+                name: QName::from(name),
+                value: value.into(),
+                type_ann,
+            },
+            TokenRef::Text { value, type_ann } => Token::Text {
+                value: value.into(),
+                type_ann,
+            },
+            TokenRef::Comment { value } => Token::Comment {
+                value: value.into(),
+            },
+            TokenRef::ProcessingInstruction { target, value } => Token::ProcessingInstruction {
+                target: target.into(),
+                value: value.into(),
+            },
+        }
+    }
+}
+
+/// Decodes one token in place from `buf[*pos..]`, advancing `pos`. This is
+/// the token grammar; [`decode_token`] is its owned wrapper.
+pub fn decode_token_ref<'a>(buf: &'a [u8], pos: &mut usize) -> Result<TokenRef<'a>, CodecError> {
     let tag = *buf.get(*pos).ok_or(CodecError::UnexpectedEof)?;
     *pos += 1;
     let kind = TokenKind::from_tag(tag).ok_or(CodecError::BadTag(tag))?;
     Ok(match kind {
-        TokenKind::BeginDocument => Token::BeginDocument,
-        TokenKind::EndDocument => Token::EndDocument,
-        TokenKind::EndElement => Token::EndElement,
-        TokenKind::EndAttribute => Token::EndAttribute,
+        TokenKind::BeginDocument => TokenRef::BeginDocument,
+        TokenKind::EndDocument => TokenRef::EndDocument,
+        TokenKind::EndElement => TokenRef::EndElement,
+        TokenKind::EndAttribute => TokenRef::EndAttribute,
         TokenKind::BeginElement => {
             let type_ann = read_annotation(buf, pos)?;
             let name = read_qname(buf, pos)?;
-            Token::BeginElement { name, type_ann }
+            TokenRef::BeginElement { name, type_ann }
         }
         TokenKind::BeginAttribute => {
             let type_ann = read_annotation(buf, pos)?;
             let name = read_qname(buf, pos)?;
-            let value = read_lpstr(buf, pos)?.into();
-            Token::BeginAttribute {
+            let value = read_lpstr(buf, pos)?;
+            TokenRef::BeginAttribute {
                 name,
                 value,
                 type_ann,
@@ -203,18 +311,23 @@ pub fn decode_token(buf: &[u8], pos: &mut usize) -> Result<Token, CodecError> {
         }
         TokenKind::Text => {
             let type_ann = read_annotation(buf, pos)?;
-            let value = read_lpstr(buf, pos)?.into();
-            Token::Text { value, type_ann }
+            let value = read_lpstr(buf, pos)?;
+            TokenRef::Text { value, type_ann }
         }
-        TokenKind::Comment => Token::Comment {
-            value: read_lpstr(buf, pos)?.into(),
+        TokenKind::Comment => TokenRef::Comment {
+            value: read_lpstr(buf, pos)?,
         },
         TokenKind::ProcessingInstruction => {
-            let target = read_lpstr(buf, pos)?.into();
-            let value = read_lpstr(buf, pos)?.into();
-            Token::ProcessingInstruction { target, value }
+            let target = read_lpstr(buf, pos)?;
+            let value = read_lpstr(buf, pos)?;
+            TokenRef::ProcessingInstruction { target, value }
         }
     })
+}
+
+/// Decodes one token from `buf[*pos..]`, advancing `pos`.
+pub fn decode_token(buf: &[u8], pos: &mut usize) -> Result<Token, CodecError> {
+    decode_token_ref(buf, pos).map(|t| t.to_token())
 }
 
 /// Encodes a whole token sequence into a fresh buffer.
@@ -315,19 +428,45 @@ mod tests {
         assert_eq!(decode_tokens(&bytes).unwrap(), tokens);
     }
 
+    /// Runs `bytes` through the borrowed pass and through `decode_tokens`;
+    /// both must reject it with the same error, which is returned.
+    fn both_reject(bytes: &[u8]) -> CodecError {
+        let mut pos = 0;
+        let borrowed = loop {
+            if pos >= bytes.len() {
+                panic!("borrowed pass accepted {bytes:?}");
+            }
+            if let Err(e) = decode_token_ref(bytes, &mut pos) {
+                break e;
+            }
+        };
+        assert_eq!(decode_tokens(bytes).unwrap_err(), borrowed, "{bytes:?}");
+        borrowed
+    }
+
+    #[test]
+    fn borrowed_tokens_match_owned() {
+        let bytes = encode_tokens(&sample_tokens());
+        let mut pos = 0;
+        let mut back = Vec::new();
+        while pos < bytes.len() {
+            let t = decode_token_ref(&bytes, &mut pos).unwrap();
+            assert_eq!(t.kind(), t.to_token().kind());
+            back.push(t.to_token());
+        }
+        assert_eq!(back, sample_tokens());
+    }
+
     #[test]
     fn decode_rejects_bad_tag() {
-        assert_eq!(
-            decode_tokens(&[0xee]).unwrap_err(),
-            CodecError::BadTag(0xee)
-        );
+        assert_eq!(both_reject(&[0xee]), CodecError::BadTag(0xee));
     }
 
     #[test]
     fn decode_rejects_truncation() {
         let bytes = encode_tokens(&[Token::text("hello world")]);
         for cut in 1..bytes.len() {
-            let err = decode_tokens(&bytes[..cut]).unwrap_err();
+            let err = both_reject(&bytes[..cut]);
             assert!(
                 matches!(err, CodecError::UnexpectedEof | CodecError::BadLength),
                 "cut {cut}: {err}"
@@ -339,10 +478,7 @@ mod tests {
     fn decode_rejects_bad_annotation() {
         // Text token with annotation byte 77.
         let bytes = [TokenKind::Text.to_tag(), 77, 0];
-        assert_eq!(
-            decode_tokens(&bytes).unwrap_err(),
-            CodecError::BadAnnotation(77)
-        );
+        assert_eq!(both_reject(&bytes), CodecError::BadAnnotation(77));
     }
 
     #[test]
@@ -350,17 +486,16 @@ mod tests {
         let mut bytes = vec![TokenKind::Comment.to_tag()];
         write_varint(&mut bytes, 2);
         bytes.extend_from_slice(&[0xff, 0xfe]);
-        assert_eq!(decode_tokens(&bytes).unwrap_err(), CodecError::BadUtf8);
+        assert_eq!(both_reject(&bytes), CodecError::BadUtf8);
     }
 
     #[test]
     fn decode_rejects_bad_qname() {
-        let mut bytes = vec![TokenKind::BeginElement.to_tag(), 0];
-        write_lpstr(&mut bytes, "a:b:c");
-        assert!(matches!(
-            decode_tokens(&bytes).unwrap_err(),
-            CodecError::BadName(_)
-        ));
+        for name in ["a:b:c", "", ":x", "x:"] {
+            let mut bytes = vec![TokenKind::BeginElement.to_tag(), 0];
+            write_lpstr(&mut bytes, name);
+            assert_eq!(both_reject(&bytes), CodecError::BadName(name.into()));
+        }
     }
 
     #[test]

@@ -29,7 +29,10 @@ pub mod sequence;
 pub mod token;
 pub mod types;
 
-pub use codec::{decode_token, decode_tokens, encode_token, encode_tokens, encoded_len};
+pub use codec::{
+    decode_token, decode_token_ref, decode_tokens, encode_token, encode_tokens, encoded_len,
+    TokenRef,
+};
 pub use nodeid::{IdInterval, NodeId};
 pub use qname::QName;
 pub use sequence::{

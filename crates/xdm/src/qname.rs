@@ -36,27 +36,23 @@ impl QName {
     /// Returns `None` when the string is empty, has an empty prefix or local
     /// part, or contains more than one colon.
     pub fn parse(s: &str) -> Option<Self> {
-        if s.is_empty() {
-            return None;
-        }
-        let mut parts = s.split(':');
-        let first = parts.next()?;
-        match (parts.next(), parts.next()) {
-            (None, _) => {
-                if first.is_empty() {
-                    None
-                } else {
-                    Some(QName::local(first))
-                }
+        Some(match QName::split_lexical(s)? {
+            (Some(prefix), local) => QName::prefixed(prefix, local),
+            (None, local) => QName::local(local),
+        })
+    }
+
+    /// Splits a lexical QName into `(prefix, local)` without allocating,
+    /// under the same rules as [`QName::parse`].
+    pub fn split_lexical(s: &str) -> Option<(Option<&str>, &str)> {
+        match s.split_once(':') {
+            None if !s.is_empty() => Some((None, s)),
+            Some((prefix, local))
+                if !prefix.is_empty() && !local.is_empty() && !local.contains(':') =>
+            {
+                Some((Some(prefix), local))
             }
-            (Some(second), None) => {
-                if first.is_empty() || second.is_empty() {
-                    None
-                } else {
-                    Some(QName::prefixed(first, second))
-                }
-            }
-            (Some(_), Some(_)) => None,
+            _ => None,
         }
     }
 

@@ -2,7 +2,8 @@
 # Loopback smoke test for the axsd server: start `axs serve` on a
 # directory-backed store, drive a scripted `axs connect` session, shut the
 # server down with SIGTERM, and check the store reopens clean with the
-# remote writes persisted.
+# remote writes persisted. Then restart it, insert, `kill -9` it, and check
+# that the restarted server recovers the insert from the log it wrote.
 #
 # Usage: scripts/smoke_server.sh [path-to-axs-binary]
 # The caller is expected to wrap this in a hard timeout (CI uses
@@ -41,16 +42,22 @@ fail() {
 
 [[ -x "$AXS" ]] || fail "axs binary not found at $AXS"
 
-"$AXS" serve "$STORE" --addr "127.0.0.1:$PORT" >"$SERVER_LOG" 2>&1 &
-SERVER_PID=$!
+# Starts `axs serve` on the store (appending to the server log) and waits
+# for a new listening line, which the server prints once the port is bound.
+start_server() {
+    local before
+    before="$(grep -c "axsd listening on" "$SERVER_LOG" 2>/dev/null || true)"
+    "$AXS" serve "$STORE" --addr "127.0.0.1:$PORT" >>"$SERVER_LOG" 2>&1 &
+    SERVER_PID=$!
+    for _ in $(seq 1 100); do
+        [[ "$(grep -c "axsd listening on" "$SERVER_LOG")" -gt "${before:-0}" ]] && return 0
+        kill -0 "$SERVER_PID" 2>/dev/null || fail "server exited during startup"
+        sleep 0.1
+    done
+    fail "server never reported listening"
+}
 
-# Wait for the listening line (the server prints it once the port is bound).
-for _ in $(seq 1 100); do
-    grep -q "axsd listening on" "$SERVER_LOG" 2>/dev/null && break
-    kill -0 "$SERVER_PID" 2>/dev/null || fail "server exited during startup"
-    sleep 0.1
-done
-grep -q "axsd listening on" "$SERVER_LOG" || fail "server never reported listening"
+start_server
 
 # A scripted remote session: load, query, update, stats, metrics, flush.
 CLIENT_OUT="$("$AXS" connect "127.0.0.1:$PORT" <<'EOF'
@@ -156,5 +163,34 @@ grep -q "clean shutdown" "$SERVER_LOG" || fail "server did not report clean shut
 # The store must reopen clean with the remote insert persisted.
 VERIFY_OUT="$("$AXS" verify "$STORE")" || fail "verify failed after shutdown: $VERIFY_OUT"
 grep -q "^ok:" <<<"$VERIFY_OUT" || fail "verify output unexpected: $VERIFY_OUT"
+
+# crash stage: a write acknowledged over the wire lives only in the log the
+# server wrote (no flush), so after `kill -9` the restarted server must
+# recover it by replaying that log.
+start_server
+CRASH_OUT="$("$AXS" connect "127.0.0.1:$PORT" <<'EOF'
+insert-last 1 <order id="3"/>
+quit
+EOF
+)"
+grep -q "inserted" <<<"$CRASH_OUT" || fail "pre-crash insert did not succeed: $CRASH_OUT"
+kill -9 "$SERVER_PID"
+wait "$SERVER_PID" 2>/dev/null || true
+SERVER_PID=""
+
+start_server
+RECOVERED_OUT="$("$AXS" connect "127.0.0.1:$PORT" <<'EOF'
+query //order
+quit
+EOF
+)"
+grep -q "3 match(es)" <<<"$RECOVERED_OUT" \
+    || fail "acknowledged insert lost across kill -9: $RECOVERED_OUT"
+kill -TERM "$SERVER_PID"
+wait "$SERVER_PID" || fail "recovered server exited non-zero on SIGTERM"
+SERVER_PID=""
+
+VERIFY_OUT="$("$AXS" verify "$STORE")" || fail "verify failed after recovery: $VERIFY_OUT"
+grep -q "^ok:" <<<"$VERIFY_OUT" || fail "verify output unexpected after recovery: $VERIFY_OUT"
 
 echo "smoke: OK — $VERIFY_OUT"

@@ -225,3 +225,50 @@ fn single_byte_corruption_always_detected() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn corrupted_token_tag_under_a_valid_checksum_fails_open() {
+    // A bad token tag inside a range payload, on a page whose stamp has
+    // been recomputed so the checksum passes: open must still reject the
+    // range under every policy, whether it decodes tokens or only counts
+    // them.
+    use axs_core::RANGE_HEADER_LEN;
+    use axs_storage::{block, checksum, PageId};
+    use axs_xdm::codec::CodecError;
+    let range_only = IndexingPolicy::RangeOnly {
+        target_range_bytes: 8 * 1024,
+    };
+    let full = IndexingPolicy::FullIndex {
+        target_range_bytes: 8 * 1024,
+    };
+    for (tag, policy) in [
+        ("tag-lazy", IndexingPolicy::default_lazy()),
+        ("tag-range", range_only),
+        ("tag-full", full),
+    ] {
+        let dir = temp_dir(tag);
+        build_store(&dir).unwrap();
+        let mut bytes = std::fs::read(dir.join("data.pages")).unwrap();
+        let page = &mut bytes[1024..2048]; // page 1: the first block page
+        let payload = block::range_bytes(page, PageId(1), 0).unwrap();
+        let first_tag = payload.as_ptr() as usize - page.as_ptr() as usize + RANGE_HEADER_LEN;
+        page[first_tag] = 0xEE;
+        let lsn = checksum::page_lsn(page);
+        checksum::stamp_page(page, u64::from(lsn));
+        std::fs::write(dir.join("data.pages"), &bytes).unwrap();
+        let opened = StoreBuilder::new()
+            .directory(&dir)
+            .policy(policy)
+            .storage(StorageConfig {
+                page_size: 1024,
+                pool_frames: 8,
+            })
+            .open();
+        match opened {
+            Err(StoreError::Codec(CodecError::BadTag(0xEE))) => {}
+            Err(other) => panic!("{tag}: wrong error: {other}"),
+            Ok(_) => panic!("{tag}: a corrupt range opened"),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
