@@ -19,9 +19,10 @@
 //! A page image's payload is the page up to its last non-zero byte, so
 //! `len <= page_size`; the scan zero-fills it back to a full page, and a
 //! record claiming more than `page_size` bytes is torn. Version 1 logs
-//! held full images only (`len == page_size`) and are still read; they are
-//! relabelled version 2 before the first append or at [`Wal::reset`], so
-//! no log holding a short image is ever labelled version 1.
+//! held full images only (`len == page_size`), which the same rule reads;
+//! [`Wal::reset`] always writes a version-2 header, and a recovered log is
+//! reset before its first append, so no log holding a short image is ever
+//! labelled version 1.
 //!
 //! LSNs are assigned monotonically per log lifetime; recovery resumes the
 //! counter past the highest LSN it saw. A scan stops at the first record
@@ -310,8 +311,6 @@ impl CommitTicket {
 pub struct Wal {
     file: File,
     page_size: usize,
-    /// Format version in the file's header.
-    version: u32,
     /// Next byte offset to append at.
     end: u64,
     /// Next LSN to assign.
@@ -340,7 +339,6 @@ impl Wal {
         let mut wal = Wal {
             file,
             page_size,
-            version: 0,
             end: HEADER_LEN,
             next_lsn: 1,
             appended: 0,
@@ -358,14 +356,13 @@ impl Wal {
         header[8..12].copy_from_slice(&VERSION.to_le_bytes());
         header[12..16].copy_from_slice(&(self.page_size as u32).to_le_bytes());
         self.file.write_all_at(&header, 0)?;
-        self.version = VERSION;
         Ok(())
     }
 
     /// Opens (creating if missing) the log at `path` and scans it for
     /// committed batches. The caller replays the batches into the data
-    /// file and then calls [`Wal::reset`]; the returned handle appends
-    /// after the last valid byte until then.
+    /// file and then calls [`Wal::reset`], which also relabels a version-1
+    /// log, before it appends anything.
     pub fn recover(path: &Path, page_size: usize) -> Result<(Wal, WalRecovery), StorageError> {
         if !path.exists() {
             return Ok((Wal::create(path, page_size)?, WalRecovery::default()));
@@ -404,7 +401,7 @@ impl Wal {
         let mut offset = HEADER_LEN as usize;
         let mut valid_end = offset;
         while offset < buf.len() {
-            let Some(record) = parse_record(&buf[offset..], page_size, version) else {
+            let Some(record) = parse_record(&buf[offset..], page_size) else {
                 break; // torn or corrupt tail
             };
             max_lsn = max_lsn.max(record.lsn);
@@ -430,7 +427,6 @@ impl Wal {
             Wal {
                 file,
                 page_size,
-                version,
                 end: valid_end as u64,
                 next_lsn: max_lsn + 1,
                 appended: 0,
@@ -480,11 +476,6 @@ impl Wal {
 
     fn append(&mut self, kind: RecordKind, page: u64, payload: &[u8]) -> Result<u64, StorageError> {
         let probe = axs_obs::probe_start();
-        if self.version != VERSION {
-            // Full-image records are valid in the current format; short
-            // ones are not valid in the old one.
-            self.write_header()?;
-        }
         let lsn = self.next_lsn;
         let mut rec = Vec::with_capacity(RECORD_HEADER_LEN + payload.len() + TRAILER_LEN);
         rec.push(kind as u8);
@@ -503,8 +494,8 @@ impl Wal {
     }
 
     /// Truncates the log back to its header (checkpoint: the data file now
-    /// holds everything the last commit promised), relabelling an older
-    /// log with the current version.
+    /// holds everything the last commit promised), rewriting the header so
+    /// an older log is relabelled with the current version.
     ///
     /// Outstanding [`CommitTicket`]s are released first: reset only runs
     /// after the data file itself is synced, so every commit appended so
@@ -514,9 +505,7 @@ impl Wal {
         self.group
             .mark_synced_through(self.next_lsn.saturating_sub(1));
         self.file.set_len(HEADER_LEN)?;
-        if self.version != VERSION {
-            self.write_header()?;
-        }
+        self.write_header()?;
         self.file.sync_data()?;
         self.end = HEADER_LEN;
         Ok(())
@@ -541,9 +530,8 @@ struct ParsedRecord<'a> {
     total_len: usize,
 }
 
-/// Parses one record at the start of `buf`, written in format `version`;
-/// `None` for torn/corrupt data.
-fn parse_record(buf: &[u8], page_size: usize, version: u32) -> Option<ParsedRecord<'_>> {
+/// Parses one record at the start of `buf`; `None` for torn/corrupt data.
+fn parse_record(buf: &[u8], page_size: usize) -> Option<ParsedRecord<'_>> {
     if buf.len() < RECORD_HEADER_LEN + TRAILER_LEN {
         return None;
     }
@@ -556,7 +544,6 @@ fn parse_record(buf: &[u8], page_size: usize, version: u32) -> Option<ParsedReco
     let page = u64::from_le_bytes(buf[9..17].try_into().unwrap());
     let len = u32::from_le_bytes(buf[17..21].try_into().unwrap()) as usize;
     let len_ok = match kind {
-        RecordKind::PageImage if version == VERSION_FULL_IMAGES => len == page_size,
         RecordKind::PageImage => len <= page_size,
         RecordKind::Commit => len == 0,
     };
@@ -871,22 +858,6 @@ mod tests {
         let header = std::fs::read(&path).unwrap();
         assert_eq!(header.len() as u64, HEADER_LEN);
         assert_eq!(u32::from_le_bytes(header[8..12].try_into().unwrap()), 2);
-    }
-
-    #[test]
-    fn version_one_log_is_relabelled_before_a_short_append() {
-        let path = temp_wal("v1-append");
-        drop(Wal::create(&path, PS).unwrap());
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[8..12].copy_from_slice(&VERSION_FULL_IMAGES.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        let (mut wal, _) = Wal::recover(&path, PS).unwrap();
-        wal.append_image(PageId(1), &zero_tailed(5, 10)).unwrap();
-        wal.commit().unwrap();
-        drop(wal);
-        let (_, rec) = Wal::recover(&path, PS).unwrap();
-        assert_eq!(rec.batches.len(), 1, "the short image is not read as torn");
-        assert_eq!(rec.batches[0][0].image, zero_tailed(5, 10));
     }
 
     #[test]

@@ -122,11 +122,19 @@ fn read_annotation(buf: &[u8], pos: &mut usize) -> Result<TypeAnnotation, CodecE
     TypeAnnotation::from_tag(byte).ok_or(CodecError::BadAnnotation(byte))
 }
 
-fn read_qname<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a str, CodecError> {
+/// A QName split in place as `(prefix, local)`.
+pub type QNameRef<'a> = (Option<&'a str>, &'a str);
+
+fn read_qname<'a>(buf: &'a [u8], pos: &mut usize) -> Result<QNameRef<'a>, CodecError> {
     let s = read_lpstr(buf, pos)?;
-    QName::split_lexical(s)
-        .map(|_| s)
-        .ok_or_else(|| CodecError::BadName(s.to_string()))
+    QName::split_lexical(s).ok_or_else(|| CodecError::BadName(s.to_string()))
+}
+
+fn to_qname((prefix, local): QNameRef<'_>) -> QName {
+    match prefix {
+        Some(prefix) => QName::prefixed(prefix, local),
+        None => QName::local(local),
+    }
 }
 
 /// Appends the wire form of `token` to `out`.
@@ -189,19 +197,19 @@ pub enum TokenRef<'a> {
     BeginDocument,
     /// See [`Token::EndDocument`].
     EndDocument,
-    /// See [`Token::BeginElement`]; `name` is the lexical QName.
+    /// See [`Token::BeginElement`].
     BeginElement {
-        /// Lexical element name (`prefix:local` or `local`).
-        name: &'a str,
+        /// Element name, already split and shape-checked.
+        name: QNameRef<'a>,
         /// Type annotation.
         type_ann: TypeAnnotation,
     },
     /// See [`Token::EndElement`].
     EndElement,
-    /// See [`Token::BeginAttribute`]; `name` is the lexical QName.
+    /// See [`Token::BeginAttribute`].
     BeginAttribute {
-        /// Lexical attribute name.
-        name: &'a str,
+        /// Attribute name, already split and shape-checked.
+        name: QNameRef<'a>,
         /// Attribute value.
         value: &'a str,
         /// Type annotation.
@@ -253,10 +261,8 @@ impl TokenRef<'_> {
             TokenRef::EndDocument => Token::EndDocument,
             TokenRef::EndElement => Token::EndElement,
             TokenRef::EndAttribute => Token::EndAttribute,
-            // Names were shape-checked at decode time, so `From<&str>`
-            // takes its parse branch, never its fallback.
             TokenRef::BeginElement { name, type_ann } => Token::BeginElement {
-                name: QName::from(name),
+                name: to_qname(name),
                 type_ann,
             },
             TokenRef::BeginAttribute {
@@ -264,7 +270,7 @@ impl TokenRef<'_> {
                 value,
                 type_ann,
             } => Token::BeginAttribute {
-                name: QName::from(name),
+                name: to_qname(name),
                 value: value.into(),
                 type_ann,
             },

@@ -31,7 +31,7 @@ pub mod types;
 
 pub use codec::{
     decode_token, decode_token_ref, decode_tokens, encode_token, encode_tokens, encoded_len,
-    TokenRef,
+    QNameRef, TokenRef,
 };
 pub use nodeid::{IdInterval, NodeId};
 pub use qname::QName;
