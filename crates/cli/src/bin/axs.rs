@@ -1,25 +1,27 @@
 //! The `axs` command-line tool.
 //!
 //! ```sh
-//! axs                      # interactive shell, in-memory store
-//! axs ./mystore            # interactive shell, directory-backed store
+//! axs                      # interactive shell, in-memory catalog
+//! axs ./mystore            # interactive shell, directory-backed catalog
 //! axs serve ./mystore      # run the axsd server in front of a store
 //! axs connect HOST:PORT    # interactive shell against a remote server
 //! axs verify ./mystore     # invariant + checksum check; exit 1 on corruption
 //! axs recover ./mystore    # WAL crash recovery; exit 1 on failure
 //! ```
 
-use axs_cli::session::Outcome;
-use axs_cli::{parse_command, RemoteSession, Session};
+use axs_cli::session::open_catalog;
+use axs_cli::{parse_command, Outcome, Session};
 use axs_core::StoreBuilder;
-use axs_server::{Catalog, CatalogConfig, Server, ServerConfig};
+use axs_server::{Server, ServerConfig};
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 const USAGE: &str = "usage:
-  axs [directory]                 interactive shell (in-memory without a directory)
+  axs [directory]                 interactive shell: serves the directory (a catalog
+                                  root, as for serve; in-memory without one) to this
+                                  shell alone and runs the same commands as connect
   axs serve [directory] [--addr HOST:PORT] [--workers N] [--queue N]
             [--max-connections N] [--commit-window-ms N] [--debug-sleep]
             [--slow-ms N] [--no-trace] [--max-open-stores N]
@@ -59,15 +61,14 @@ fn main() {
 
 // ---- interactive shells ---------------------------------------------------
 
+/// The local shell: a private server over the directory, driven through
+/// the same session as `axs connect`. Writes are durable on ack; the
+/// shutdown flush decides the exit code.
 fn cmd_repl(dir: Option<String>) -> i32 {
-    let session = match &dir {
-        Some(d) => Session::at_directory(d),
-        None => Session::in_memory(),
-    };
-    let mut session = match session {
+    let (mut session, server) = match Session::local(dir.as_deref().map(Path::new)) {
         Ok(s) => s,
         Err(e) => {
-            eprintln!("cannot open store: {e}");
+            eprintln!("{e}");
             return 1;
         }
     };
@@ -75,7 +76,16 @@ fn cmd_repl(dir: Option<String>) -> i32 {
         Some(d) => println!("adaptive XML store at {d} — 'help' for commands"),
         None => println!("in-memory adaptive XML store — 'help' for commands"),
     }
-    repl(move |cmd| session.execute(cmd))
+    let code = repl(|cmd| session.execute(cmd));
+    drop(session);
+    server.shutdown();
+    match server.join() {
+        Ok(()) => code,
+        Err(e) => {
+            eprintln!("{e}");
+            1
+        }
+    }
 }
 
 fn cmd_connect(args: &[String]) -> i32 {
@@ -83,7 +93,7 @@ fn cmd_connect(args: &[String]) -> i32 {
         eprintln!("usage: axs connect HOST:PORT");
         return 2;
     };
-    let mut session = match RemoteSession::connect(addr.as_str()) {
+    let mut session = match Session::connect(addr.as_str()) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("cannot connect to {addr}: {e}");
@@ -156,24 +166,19 @@ fn cmd_explain(args: &[String]) -> i32 {
             return 2;
         }
     };
-    let mut client = match axs_client::Client::connect(addr.as_str()) {
-        Ok(c) => c,
+    let mut session = match Session::connect(addr.as_str()) {
+        Ok(s) => s,
         Err(e) => {
             eprintln!("cannot connect to {addr}: {e}");
             return 1;
         }
     };
-    let report = match cmd {
-        axs_cli::Command::ExplainNode(id) => client.explain_node(id.get()),
-        axs_cli::Command::ExplainQuery(path) => client.explain_query(&path),
-        axs_cli::Command::ExplainFlwor(query) => client.explain_flwor(&query),
-        _ => unreachable!("explain lines parse to explain commands"),
-    };
-    match report {
-        Ok(r) => {
-            println!("{}", r.render());
+    match session.try_execute(cmd) {
+        Ok(Outcome::Output(report)) => {
+            println!("{report}");
             0
         }
+        Ok(Outcome::Quit) => unreachable!("explain lines parse to explain commands"),
         Err(e) => {
             eprintln!("explain failed: {e}");
             1
@@ -339,19 +344,9 @@ fn cmd_serve(args: &[String]) -> i32 {
         }
     }
 
-    // The directory is a catalog root: a legacy single-store directory is
-    // adopted in place as the `default` store, and `create-store` adds
-    // named stores under `<dir>/stores/`. Without a directory the catalog
-    // is in-memory (named stores work; nothing persists).
-    let catalog_config = CatalogConfig {
-        max_open: config.max_open_stores,
-        commit_window: config.commit_window,
-    };
-    let catalog = match &dir {
-        Some(d) => Catalog::open(d, catalog_config),
-        None => Catalog::in_memory(catalog_config),
-    };
-    let catalog = match catalog {
+    // `create-store` adds named stores under `<dir>/stores/`; without a
+    // directory named stores work but nothing persists.
+    let catalog = match open_catalog(dir.as_deref().map(Path::new), &config) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("cannot open catalog: {e}");

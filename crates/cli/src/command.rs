@@ -38,7 +38,7 @@ pub enum Command {
     Print,
     /// `stats` — operation and lookup counters.
     Stats,
-    /// `metrics` — observability scrape (Prometheus text; remote only).
+    /// `metrics` — observability scrape (Prometheus text).
     Metrics,
     /// `report` — storage report.
     Report,
@@ -48,22 +48,23 @@ pub enum Command {
     Compact(Option<usize>),
     /// `save` — flush to disk.
     Save,
-    /// `recover` — close and reopen the store, running crash recovery.
+    /// `recover` — refused: recovery runs when the server opens the store
+    /// (`axs recover <directory>` runs it offline).
     Recover,
     /// `verify` — check structural invariants and page checksums.
     Verify,
-    /// `export <path>` — stream the whole store to an XML file.
+    /// `export <path>` — write the whole store to an XML file.
     Export(String),
-    /// `use <store>` — bind the session to a named store (server only).
+    /// `use <store>` — bind the session to a named store.
     Use(String),
-    /// `stores` — list the server's catalog (server only).
+    /// `stores` — list the server's catalog.
     Stores,
-    /// `create-store <name>` — create a named store (server only).
+    /// `create-store <name>` — create a named store.
     CreateStore(String),
-    /// `drop-store <name>` — drop a named store and its data (server only).
+    /// `drop-store <name>` — drop a named store and its data.
     DropStore(String),
     /// `explain <id>` — execute a node lookup on the live path and print
-    /// its plan trace: lookup-path verdict, stages, decisions (server only).
+    /// its plan trace: lookup-path verdict, stages, decisions.
     ExplainNode(NodeId),
     /// `explain query <xpath>` — execute and explain an XPath query.
     ExplainQuery(String),
@@ -71,7 +72,7 @@ pub enum Command {
     /// a FLWOR query.
     ExplainFlwor(String),
     /// `recorder [n]` — dump the server's flight recorder, most recent
-    /// `n` requests (0 = server default; server only).
+    /// `n` requests (0 = server default).
     Recorder(u64),
     /// `help`.
     Help,
@@ -263,18 +264,17 @@ commands:
   delete <id> | replace <id> <xml>
   print                       serialize the whole store
   stats | report | ranges     inspect counters / storage / Range Index
-  metrics                     latency histograms + tracing series (server only)
+  metrics                     latency histograms + tracing series
   compact [bytes]             merge adjacent ranges
-  save                        flush to disk (directory-backed stores)
-  recover                     reopen the store through crash recovery
+  save                        flush the server's stores (writes are durable on ack)
   verify                      check invariants and page checksums
-  export <path>               stream the store to an XML file
+  export <path>               write the store to an XML file
   explain <id>                execute a lookup, print which index path served it
-  explain query <xpath> | explain for ...   explain a query (server only)
-  recorder [n]                dump the server's flight recorder (server only)
-  stores                      list the server's named stores (server only)
-  use <store>                 switch this session to a named store (server only)
-  create-store <name> | drop-store <name>   manage named stores (server only)
+  explain query <xpath> | explain for ...   explain a query
+  recorder [n]                dump the server's flight recorder
+  stores                      list the server's named stores
+  use <store>                 switch this session to a named store
+  create-store <name> | drop-store <name>   manage named stores
   help | quit";
 
 #[cfg(test)]

@@ -1,11 +1,17 @@
-//! Session: executes parsed commands against a store and renders text
-//! output. Fully decoupled from stdin/stdout so tests can drive it.
+//! Session: the shell's one executor. Every command runs as a request
+//! over one `axsd` connection — to a remote server for `axs connect`, or
+//! to a private in-process server for the local shell ([`Session::local`]),
+//! so both shells answer the same commands with the same text.
 
 use crate::command::{Command, HELP};
-use axs_core::{ReadView, StoreBuilder, StoreError, XmlStore};
-use axs_xml::{parse_fragment, serialize, ParseOptions, SerializeOptions};
+use axs_client::{Client, ClientError};
+use axs_server::{
+    Catalog, CatalogConfig, CatalogError, Server, ServerConfig, ServerHandle, DEFAULT_STORE,
+};
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::net::ToSocketAddrs;
+use std::path::Path;
+use std::time::Duration;
 
 /// Outcome of executing one command.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -16,52 +22,68 @@ pub enum Outcome {
     Quit,
 }
 
-/// An interactive session over one store.
+/// How long the local shell's server lets the shell sit idle, or one of
+/// its requests run: a day, so neither a paused shell nor a long `load`
+/// trips a server timeout.
+const LOCAL_TIMEOUT: Duration = Duration::from_secs(24 * 60 * 60);
+
+/// Opens a catalog root the way `axs serve` does: a directory is a
+/// durable catalog (a pre-catalog directory with `data.pages` at top
+/// level is adopted in place as the `default` store), and no directory
+/// is an in-memory catalog.
+pub fn open_catalog(dir: Option<&Path>, config: &ServerConfig) -> Result<Catalog, CatalogError> {
+    let catalog_config = CatalogConfig {
+        max_open: config.max_open_stores,
+        commit_window: config.commit_window,
+    };
+    match dir {
+        Some(d) => Catalog::open(d, catalog_config),
+        None => Catalog::in_memory(catalog_config),
+    }
+}
+
+/// An interactive session over one server connection.
 pub struct Session {
-    store: XmlStore,
-    dir: Option<PathBuf>,
+    client: Client,
 }
 
 impl Session {
-    /// In-memory session.
-    pub fn in_memory() -> Result<Session, StoreError> {
+    /// Connects to an `axsd` server.
+    pub fn connect(addr: impl ToSocketAddrs) -> Result<Session, ClientError> {
         Ok(Session {
-            store: StoreBuilder::new().build()?,
-            dir: None,
+            client: Client::connect(addr)?,
         })
     }
 
-    /// Directory-backed session: opens an existing store or creates one.
-    pub fn at_directory(dir: impl Into<PathBuf>) -> Result<Session, StoreError> {
-        let dir = dir.into();
-        let existing = dir.join("data.pages").exists();
-        let builder = StoreBuilder::new().directory(&dir);
-        let store = if existing {
-            builder.open()?
-        } else {
-            builder.build()?
+    /// The local shell: opens `dir` as a catalog root (in memory without
+    /// one), serves it on an ephemeral loopback port to this one session,
+    /// and connects. The `default` store opens here, so a store that
+    /// cannot open fails now rather than at the first command. The caller
+    /// ends the server with `shutdown()` + `join()`, whose verdict is the
+    /// final flush.
+    pub fn local(dir: Option<&Path>) -> Result<(Session, ServerHandle), String> {
+        let config = ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            // A second process gets `Busy`: the server is this shell's.
+            max_connections: 1,
+            idle_timeout: LOCAL_TIMEOUT,
+            request_timeout: LOCAL_TIMEOUT,
+            // Span dumps would land on the user's terminal.
+            slow_request: None,
+            ..ServerConfig::default()
         };
-        Ok(Session {
-            store,
-            dir: Some(dir),
-        })
+        let catalog = open_catalog(dir, &config)
+            .and_then(|c| c.slot(DEFAULT_STORE).map(|_| c))
+            .map_err(|e| format!("cannot open store: {e}"))?;
+        let server = Server::start_catalog(catalog, config)
+            .map_err(|e| format!("cannot start the shell's server: {e}"))?;
+        let session = Session::connect(server.local_addr())
+            .map_err(|e| format!("cannot connect to the shell's server: {e}"))?;
+        Ok((session, server))
     }
 
-    /// Access to the underlying store (tests).
-    pub fn store_mut(&mut self) -> &mut XmlStore {
-        &mut self.store
-    }
-
-    fn fragment(xml: &str) -> Result<Vec<axs_xdm::Token>, String> {
-        parse_fragment(xml, ParseOptions::data_centric()).map_err(|e| e.to_string())
-    }
-
-    fn render(tokens: &[axs_xdm::Token]) -> String {
-        serialize(tokens, &SerializeOptions::default())
-            .unwrap_or_else(|_| format!("(unserializable fragment of {} tokens)", tokens.len()))
-    }
-
-    /// Executes one command, producing printable output.
+    /// Executes one command, producing printable output; a failure
+    /// renders as an `error:` line and the session goes on.
     pub fn execute(&mut self, cmd: Command) -> Outcome {
         match self.try_execute(cmd) {
             Ok(outcome) => outcome,
@@ -69,23 +91,28 @@ impl Session {
         }
     }
 
-    fn try_execute(&mut self, cmd: Command) -> Result<Outcome, String> {
+    /// Executes one command, returning a failure as its message.
+    pub fn try_execute(&mut self, cmd: Command) -> Result<Outcome, String> {
+        let c = &mut self.client;
+        let fail = |e: ClientError| e.to_string();
         let out = match cmd {
             Command::Quit => return Ok(Outcome::Quit),
             Command::Help => HELP.to_string(),
             Command::Load(path) => {
                 let text = std::fs::read_to_string(&path).map_err(|e| e.to_string())?;
-                self.load_xml_text(&text)?
+                let (start, end) = c.bulk_load(&text).map_err(fail)?;
+                format!("loaded nodes [#{start}, #{end}]")
             }
-            Command::LoadXml(xml) => self.load_xml_text(&xml)?,
+            Command::LoadXml(xml) => {
+                let (start, end) = c.bulk_load(&xml).map_err(fail)?;
+                format!("loaded nodes [#{start}, #{end}]")
+            }
             Command::Query(path) => {
-                let compiled = axs_xpath::compile(&path).map_err(|e| e.to_string())?;
-                let matches =
-                    axs_xpath::evaluate_store(&self.store, &compiled).map_err(|e| e.to_string())?;
+                let matches = c.query(&path).map_err(fail)?;
                 let mut out = format!("{} match(es)\n", matches.len());
-                for (id, tokens) in matches.iter().take(50) {
-                    let id = id.map(|n| n.to_string()).unwrap_or_default();
-                    let _ = writeln!(out, "  {id:<8} {}", Self::render(tokens));
+                for m in matches.iter().take(50) {
+                    let id = m.id.map(|n| format!("#{n}")).unwrap_or_default();
+                    let _ = writeln!(out, "  {id:<8} {}", m.xml);
                 }
                 if matches.len() > 50 {
                     let _ = writeln!(out, "  … {} more", matches.len() - 50);
@@ -93,254 +120,132 @@ impl Session {
                 out
             }
             Command::Flwor(text) => {
-                let q = axs_xquery::parse_flwor(&text).map_err(|e| e.to_string())?;
-                let rows =
-                    axs_xquery::evaluate_flwor(&self.store, &q).map_err(|e| e.to_string())?;
+                let rows = c.flwor(&text).map_err(fail)?;
                 let mut out = format!("{} row(s)\n", rows.len());
                 for row in rows.iter().take(50) {
-                    let _ = writeln!(out, "  {}", Self::render(row));
+                    let _ = writeln!(out, "  {row}");
                 }
                 if rows.len() > 50 {
                     let _ = writeln!(out, "  … {} more", rows.len() - 50);
                 }
                 out
             }
-            Command::Show(id) => {
-                let tokens = self.store.read_node(id).map_err(|e| e.to_string())?;
-                Self::render(&tokens)
-            }
-            Command::Value(id) => self.store.string_value(id).map_err(|e| e.to_string())?,
+            Command::Show(id) => c.read_node(id.get()).map_err(fail)?,
+            Command::Value(id) => c.string_value(id.get()).map_err(fail)?,
             Command::Children(id) => {
-                let kids = self.store.children_of(id).map_err(|e| e.to_string())?;
+                let kids = c.children(id.get()).map_err(fail)?;
                 let mut out = String::new();
-                for kid in kids {
-                    let name = self
-                        .store
-                        .name_of(kid)
-                        .map_err(|e| e.to_string())?
-                        .map(|q| q.to_lexical())
-                        .unwrap_or_else(|| format!("({:?})", self.store.kind_of(kid).ok()));
-                    let _ = writeln!(out, "  {kid:<8} {name}");
+                for (kid, name) in kids {
+                    let _ = writeln!(out, "  #{kid:<7} {name}");
                 }
                 if out.is_empty() {
                     out.push_str("(no children)");
                 }
                 out
             }
-            Command::Parent(id) => match self.store.parent_of(id).map_err(|e| e.to_string())? {
-                Some(p) => p.to_string(),
+            Command::Parent(id) => match c.parent(id.get()).map_err(fail)? {
+                Some(p) => format!("#{p}"),
                 None => "(top level)".to_string(),
             },
             Command::InsertFirst(id, xml) => {
-                let iv = self
-                    .store
-                    .insert_into_first(id, Self::fragment(&xml)?)
-                    .map_err(|e| e.to_string())?;
-                format!("inserted {iv}")
+                let (start, end) = c.insert_first(id.get(), &xml).map_err(fail)?;
+                format!("inserted [#{start}, #{end}]")
             }
             Command::InsertLast(id, xml) => {
-                let iv = self
-                    .store
-                    .insert_into_last(id, Self::fragment(&xml)?)
-                    .map_err(|e| e.to_string())?;
-                format!("inserted {iv}")
+                let (start, end) = c.insert_last(id.get(), &xml).map_err(fail)?;
+                format!("inserted [#{start}, #{end}]")
             }
             Command::InsertBefore(id, xml) => {
-                let iv = self
-                    .store
-                    .insert_before(id, Self::fragment(&xml)?)
-                    .map_err(|e| e.to_string())?;
-                format!("inserted {iv}")
+                let (start, end) = c.insert_before(id.get(), &xml).map_err(fail)?;
+                format!("inserted [#{start}, #{end}]")
             }
             Command::InsertAfter(id, xml) => {
-                let iv = self
-                    .store
-                    .insert_after(id, Self::fragment(&xml)?)
-                    .map_err(|e| e.to_string())?;
-                format!("inserted {iv}")
+                let (start, end) = c.insert_after(id.get(), &xml).map_err(fail)?;
+                format!("inserted [#{start}, #{end}]")
             }
             Command::Delete(id) => {
-                self.store.delete_node(id).map_err(|e| e.to_string())?;
+                c.delete(id.get()).map_err(fail)?;
                 format!("deleted {id}")
             }
             Command::Replace(id, xml) => {
-                let iv = self
-                    .store
-                    .replace_node(id, Self::fragment(&xml)?)
-                    .map_err(|e| e.to_string())?;
-                format!("replaced {id} with {iv}")
+                let (start, end) = c.replace(id.get(), &xml).map_err(fail)?;
+                format!("replaced {id} with [#{start}, #{end}]")
             }
             Command::Print => {
-                let tokens = self.store.read_all().map_err(|e| e.to_string())?;
-                if tokens.is_empty() {
+                let text = c.read_all().map_err(fail)?;
+                if text.is_empty() {
                     "(empty store)".to_string()
                 } else {
-                    Self::render(&tokens)
+                    text
                 }
             }
             Command::Stats => {
-                let s = self.store.stats();
-                let p = self.store.partial_stats();
-                format!(
-                    "ops: {} inserts, {} deletes, {} replaces, {} point reads, {} scans\n\
-                     lookups: {} partial / {} full / {} range-scan ({} tokens scanned)\n\
-                     partial index: {} entries, {:.2} hit ratio\n\
-                     ranges: {}   splits: {}   moves: {}",
-                    s.inserts,
-                    s.deletes,
-                    s.replaces,
-                    s.node_reads,
-                    s.full_scans,
-                    s.lookups_partial,
-                    s.lookups_full,
-                    s.lookups_range_scan,
-                    s.tokens_scanned,
-                    self.store.partial_index().map_or(0, |p| p.len()),
-                    p.hit_ratio(),
-                    self.store.range_count(),
-                    s.range_splits,
-                    s.range_moves,
-                )
-            }
-            Command::Metrics => {
-                return Err(
-                    "metrics needs a running server (axs connect); locally, try 'stats'"
-                        .to_string(),
-                )
-            }
-            Command::ExplainNode(_) | Command::ExplainQuery(_) | Command::ExplainFlwor(_) => {
-                return Err(
-                    "explain needs a running server (axs connect); locally, try 'stats'"
-                        .to_string(),
-                )
-            }
-            Command::Recorder(_) => {
-                return Err("the flight recorder lives in the server (axs connect)".to_string())
-            }
-            Command::Report => {
-                let r = self.store.storage_report().map_err(|e| e.to_string())?;
-                format!(
-                    "blocks {}   ranges {}   index entries {}   free pages {}\n\
-                     nodes {}   tokens {}   token bytes {}   payload bytes {}\n\
-                     fill {:.1}%   index pages {}",
-                    r.blocks,
-                    r.ranges,
-                    r.range_index_entries,
-                    r.free_pages,
-                    r.live_nodes,
-                    r.tokens,
-                    r.token_bytes,
-                    r.payload_bytes,
-                    r.fill_factor() * 100.0,
-                    r.index_pages,
-                )
-            }
-            Command::Ranges => {
-                let entries = self
-                    .store
-                    .range_index_entries()
-                    .map_err(|e| e.to_string())?;
-                let mut out = String::from("RangeId  BlockId  StartId  EndId\n");
+                let entries = c.stats().map_err(fail)?;
+                let mut out = String::new();
                 for e in entries {
-                    let _ = writeln!(
-                        out,
-                        "{:<8} {:<8} {:<8} {}",
-                        e.range_id,
-                        e.block.0,
-                        e.interval.start.get(),
-                        e.interval.end.get()
-                    );
+                    let _ = writeln!(out, "{:<32} {}", e.name, e.value);
                 }
                 out
             }
+            Command::Metrics => {
+                let (text, _entries) = c.metrics().map_err(fail)?;
+                text
+            }
+            Command::ExplainNode(id) => c.explain_node(id.get()).map_err(fail)?.render(),
+            Command::ExplainQuery(path) => c.explain_query(&path).map_err(fail)?.render(),
+            Command::ExplainFlwor(query) => c.explain_flwor(&query).map_err(fail)?.render(),
+            Command::Recorder(limit) => c.dump_recorder(limit).map_err(fail)?,
+            Command::Report => c.report().map_err(fail)?,
+            Command::Ranges => c.ranges().map_err(fail)?,
             Command::Compact(target) => {
-                let r = self
-                    .store
-                    .compact(target.unwrap_or(8 * 1024))
-                    .map_err(|e| e.to_string())?;
-                format!(
-                    "{} merges, {} -> {} ranges",
-                    r.merges, r.ranges_before, r.ranges_after
-                )
+                let (merges, before, after) =
+                    c.compact(target.unwrap_or(8 * 1024) as u64).map_err(fail)?;
+                format!("{merges} merges, {before} -> {after} ranges")
             }
             Command::Export(path) => {
-                // Stream through the TokenWriter — the store is never
-                // materialized as one big string.
-                let file = std::fs::File::create(&path).map_err(|e| e.to_string())?;
-                let mut writer = axs_xml::TokenWriter::new(
-                    std::io::BufWriter::new(file),
-                    SerializeOptions::default(),
-                );
-                let mut count = 0u64;
-                for item in self.store.read() {
-                    let (_, tok) = item.map_err(|e| e.to_string())?;
-                    writer.write(&tok).map_err(|e| e.to_string())?;
-                    count += 1;
-                }
-                use std::io::Write as _;
-                let mut out = writer.finish().map_err(|e| e.to_string())?;
-                out.flush().map_err(|e| e.to_string())?;
-                format!("exported {count} tokens to {path}")
+                let text = c.read_all().map_err(fail)?;
+                std::fs::write(&path, &text).map_err(|e| e.to_string())?;
+                format!("exported {} bytes to {path}", text.len())
             }
             Command::Save => {
-                self.store.flush().map_err(|e| e.to_string())?;
-                match &self.dir {
-                    Some(d) => format!("saved to {}", d.display()),
-                    None => "flushed (in-memory store — nothing persisted)".to_string(),
-                }
+                c.flush().map_err(fail)?;
+                "flushed on the server".to_string()
             }
             Command::Recover => {
-                let dir = self
-                    .dir
-                    .clone()
-                    .ok_or("recover needs a directory-backed store")?;
-                // Drop the live store first so the reopen sees files, not a
-                // stale in-memory view. Unflushed changes are discarded —
-                // exactly what a crash would do.
-                self.store = StoreBuilder::new().build().map_err(|e| e.to_string())?;
-                self.store = StoreBuilder::new()
-                    .directory(&dir)
-                    .open()
-                    .map_err(|e| e.to_string())?;
-                let s = self.store.stats();
-                format!(
-                    "recovered from {}: {} replay pass(es), {} torn tail(s) truncated",
-                    dir.display(),
-                    s.recoveries,
-                    s.torn_tail_truncations,
+                return Err(
+                    "recovery runs when the server opens the store; with no server on the \
+                     directory, run `axs recover <directory>`"
+                        .to_string(),
                 )
             }
-            Command::Verify => {
-                self.store.check_invariants().map_err(|e| e.to_string())?;
-                // Walking every token forces every data page through the
-                // pool, so checksum verification covers the whole file.
-                let tokens = self.store.read_all().map_err(|e| e.to_string())?;
-                format!(
-                    "ok: invariants hold, {} tokens readable, {} range(s)",
-                    tokens.len(),
-                    self.store.range_count(),
-                )
+            Command::Verify => c.verify().map_err(fail)?,
+            Command::Use(name) => {
+                let id = c.use_store(&name).map_err(fail)?;
+                format!("using store {name:?} (id {id})")
             }
-            Command::Use(_) | Command::Stores | Command::CreateStore(_) | Command::DropStore(_) => {
-                return Err("store catalog commands need a running server (axs connect)".to_string())
+            Command::Stores => {
+                let stores = c.list_stores().map_err(fail)?;
+                let current = c.current_store().0.to_string();
+                let mut out = String::new();
+                for s in stores {
+                    let marker = if s.name == current { "*" } else { " " };
+                    let state = if s.open { "open" } else { "closed" };
+                    let _ = writeln!(out, "{marker} {:<24} id {:<5} {state}", s.name, s.id);
+                }
+                out.push_str("(* = this session's store)");
+                out
+            }
+            Command::CreateStore(name) => {
+                let id = c.create_store(&name).map_err(fail)?;
+                format!("created store {name:?} (id {id})")
+            }
+            Command::DropStore(name) => {
+                c.drop_store(&name).map_err(fail)?;
+                let (current, _) = c.current_store();
+                format!("dropped store {name:?} (session now on {current:?})")
             }
         };
         Ok(Outcome::Output(out))
-    }
-
-    fn load_xml_text(&mut self, text: &str) -> Result<String, String> {
-        // Accept full documents (with prolog) or bare fragments.
-        let tokens = if text.trim_start().starts_with("<?xml")
-            || text.trim_start().starts_with("<!DOCTYPE")
-        {
-            let doc = axs_xml::parse_document(text, ParseOptions::data_centric())
-                .map_err(|e| e.to_string())?;
-            doc[1..doc.len() - 1].to_vec()
-        } else {
-            Self::fragment(text)?
-        };
-        let iv = self.store.bulk_insert(tokens).map_err(|e| e.to_string())?;
-        Ok(format!("loaded nodes {iv}"))
     }
 }
 
@@ -348,6 +253,15 @@ impl Session {
 mod tests {
     use super::*;
     use crate::command::parse_command;
+    use std::path::PathBuf;
+
+    /// What one command must print.
+    enum Want {
+        Is(&'static str),
+        Starts(&'static str),
+        Has(&'static str),
+    }
+    use Want::*;
 
     fn run(session: &mut Session, line: &str) -> String {
         let cmd = parse_command(line).unwrap().unwrap();
@@ -357,181 +271,167 @@ mod tests {
         }
     }
 
-    #[test]
-    fn load_query_update_print_cycle() {
-        let mut s = Session::in_memory().unwrap();
-        let out = run(&mut s, r#"loadxml <orders><order id="1"/></orders>"#);
-        assert!(out.contains("loaded nodes"), "{out}");
-
-        let out = run(&mut s, "query /orders/order");
-        assert!(out.starts_with("1 match(es)"), "{out}");
-
-        let out = run(
-            &mut s,
-            r#"insert-last 1 <order id="2"><qty>5</qty></order>"#,
-        );
-        assert!(out.contains("inserted"), "{out}");
-
-        let out = run(&mut s, "query //order");
-        assert!(out.starts_with("2 match(es)"), "{out}");
-
-        let out = run(&mut s, "query /orders/order/@id");
-        assert!(
-            out.contains(r#"id="1""#) && out.contains(r#"id="2""#),
-            "{out}"
-        );
-
-        let out = run(&mut s, "print");
-        assert!(out.contains(r#"<order id="2">"#), "{out}");
-    }
-
-    #[test]
-    fn navigation_commands() {
-        let mut s = Session::in_memory().unwrap();
-        run(&mut s, "loadxml <a><b>x</b><c/></a>");
-        assert_eq!(run(&mut s, "value 2"), "x");
-        assert_eq!(run(&mut s, "parent 2"), "#1");
-        assert_eq!(run(&mut s, "parent 1"), "(top level)");
-        let kids = run(&mut s, "children 1");
-        assert!(kids.contains("#2") && kids.contains("#4"), "{kids}");
-        assert_eq!(run(&mut s, "show 2"), "<b>x</b>");
-    }
-
-    #[test]
-    fn delete_and_replace() {
-        let mut s = Session::in_memory().unwrap();
-        run(&mut s, "loadxml <a><b/><c/></a>");
-        assert!(run(&mut s, "delete 2").contains("deleted"));
-        assert_eq!(run(&mut s, "print"), "<a><c/></a>");
-        assert!(run(&mut s, "replace 3 <c2/>").contains("replaced"));
-        assert_eq!(run(&mut s, "print"), "<a><c2/></a>");
-    }
-
-    #[test]
-    fn errors_are_reported_not_fatal() {
-        let mut s = Session::in_memory().unwrap();
-        let out = run(&mut s, "show 99");
-        assert!(out.starts_with("error:"), "{out}");
-        let out = run(&mut s, "query ///");
-        assert!(out.starts_with("error:"), "{out}");
-        let out = run(&mut s, "loadxml <broken>");
-        assert!(out.starts_with("error:"), "{out}");
-        // Session still usable.
-        run(&mut s, "loadxml <ok/>");
-        assert_eq!(run(&mut s, "print"), "<ok/>");
-    }
-
-    #[test]
-    fn stats_report_ranges_render() {
-        let mut s = Session::in_memory().unwrap();
-        run(&mut s, "loadxml <a><b/></a>");
-        run(&mut s, "show 2");
-        let stats = run(&mut s, "stats");
-        assert!(stats.contains("point reads"), "{stats}");
-        let report = run(&mut s, "report");
-        assert!(report.contains("blocks 1"), "{report}");
-        let ranges = run(&mut s, "ranges");
-        assert!(ranges.contains("RangeId"), "{ranges}");
-    }
-
-    #[test]
-    fn compact_command() {
-        let mut s = Session::in_memory().unwrap();
-        run(&mut s, "loadxml <root/>");
-        for i in 0..20 {
-            run(&mut s, &format!("insert-last 1 <e>{i}</e>"));
-        }
-        let out = run(&mut s, "compact 8192");
-        assert!(out.contains("ranges"), "{out}");
-        s.store_mut().check_invariants().unwrap();
-    }
-
-    #[test]
-    fn flwor_queries_run() {
-        let mut s = Session::in_memory().unwrap();
-        run(
-            &mut s,
-            r#"loadxml <os><o id="1"><q>5</q></o><o id="2"><q>9</q></o></os>"#,
-        );
-        let out = run(
-            &mut s,
-            "for $o in /os/o where $o/q > 6 return <hot id=\"{ $o/@id }\"/>",
-        );
-        assert!(out.starts_with("1 row(s)"), "{out}");
-        assert!(out.contains(r#"<hot id="2"/>"#), "{out}");
-    }
-
-    #[test]
-    fn export_streams_to_file() {
-        let dir = std::env::temp_dir().join(format!("axs-cli-export-{}", std::process::id()));
+    fn scratch_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("axs-cli-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("out.xml");
-        let mut s = Session::in_memory().unwrap();
-        run(&mut s, r#"loadxml <a k="v"><b>x &amp; y</b></a>"#);
-        let out = run(&mut s, &format!("export {}", path.display()));
-        assert!(out.contains("exported"), "{out}");
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text, r#"<a k="v"><b>x &amp; y</b></a>"#);
-        std::fs::remove_dir_all(&dir).unwrap();
+        dir
     }
 
+    fn close(session: Session, server: ServerHandle) {
+        drop(session);
+        server.shutdown();
+        server.join().unwrap();
+    }
+
+    /// Every shell command, through the local shell over a directory: the
+    /// same session and server path `axs connect` uses. Each group after
+    /// the first runs in a named store of its own so outputs are exact.
+    /// `{dir}` in a line is the scratch directory.
     #[test]
-    fn quit_terminates() {
-        let mut s = Session::in_memory().unwrap();
+    fn local_shell_runs_every_command_over_the_wire() {
+        let dir = scratch_dir("shell");
+        let root = dir.join("root");
+        std::fs::write(dir.join("doc.xml"), "<?xml version=\"1.0\"?><r><x/></r>").unwrap();
+        let (mut s, server) = Session::local(Some(&root)).unwrap();
+
+        let mut script: Vec<(String, Want)> = [
+            // load / query / update / print
+            (
+                r#"loadxml <orders><order id="1"/></orders>"#,
+                Is("loaded nodes [#1, #3]"),
+            ),
+            ("query /orders/order", Starts("1 match(es)")),
+            (
+                r#"insert-last 1 <order id="2"><qty>5</qty></order>"#,
+                Is("inserted [#4, #7]"),
+            ),
+            ("query //order", Starts("2 match(es)")),
+            (
+                "query /orders/order/@id",
+                Is("2 match(es)\n  #3       id=\"1\"\n  #5       id=\"2\"\n"),
+            ),
+            (
+                "print",
+                Is(r#"<orders><order id="1"/><order id="2"><qty>5</qty></order></orders>"#),
+            ),
+            ("parent 2", Is("#1")),
+            // inspection and introspection
+            ("stats", Has("store.inserts")),
+            ("stats", Has("server.requests")),
+            ("metrics", Has("axs_server_requests")),
+            ("report", Has("blocks")),
+            ("ranges", Has("RangeId")),
+            ("verify", Starts("ok:")),
+            ("explain 1", Has("path=")),
+            ("explain 1", Has("stages:")),
+            ("explain query //order", Has("results=2")),
+            ("recorder", Has("flight recorder dump")),
+            ("save", Is("flushed on the server")),
+            ("recover", Starts("error:")),
+            ("help", Starts("commands:")),
+            // navigation
+            ("create-store nav", Starts("created store \"nav\"")),
+            ("use nav", Starts("using store \"nav\"")),
+            ("loadxml <a><b>x</b><c/></a>", Is("loaded nodes [#1, #4]")),
+            ("value 2", Is("x")),
+            ("parent 2", Is("#1")),
+            ("parent 1", Is("(top level)")),
+            ("children 1", Is("  #2       b\n  #4       c\n")),
+            ("children 4", Is("(no children)")),
+            ("show 2", Is("<b>x</b>")),
+            // delete and replace
+            ("create-store edit", Starts("created store")),
+            ("use edit", Starts("using store")),
+            ("loadxml <a><b/><c/></a>", Starts("loaded nodes")),
+            ("delete 2", Is("deleted #2")),
+            ("print", Is("<a><c/></a>")),
+            ("replace 3 <c2/>", Starts("replaced #3 with")),
+            ("print", Is("<a><c2/></a>")),
+            // errors are reported, and the session goes on
+            ("create-store errs", Starts("created store")),
+            ("use errs", Starts("using store")),
+            ("show 99", Starts("error:")),
+            ("query ///", Starts("error:")),
+            ("loadxml <broken>", Starts("error:")),
+            ("use nosuch", Starts("error:")),
+            ("load {dir}/missing.xml", Starts("error:")),
+            ("loadxml <ok/>", Starts("loaded nodes")),
+            ("print", Is("<ok/>")),
+            // FLWOR
+            ("create-store fl", Starts("created store")),
+            ("use fl", Starts("using store")),
+            (
+                r#"loadxml <os><o id="1"><q>5</q></o><o id="2"><q>9</q></o></os>"#,
+                Starts("loaded nodes"),
+            ),
+            (
+                r#"for $o in /os/o where $o/q > 6 return <hot id="{ $o/@id }"/>"#,
+                Is("1 row(s)\n  <hot id=\"2\"/>\n"),
+            ),
+            // export, and load of a document with a prolog
+            ("create-store ex", Starts("created store")),
+            ("use ex", Starts("using store")),
+            (
+                r#"loadxml <a k="v"><b>x &amp; y</b></a>"#,
+                Starts("loaded nodes"),
+            ),
+            ("export {dir}/out.xml", Starts("exported 29 bytes to")),
+            ("create-store doc", Starts("created store")),
+            ("use doc", Starts("using store")),
+            ("load {dir}/doc.xml", Starts("loaded nodes")),
+            ("print", Is("<r><x/></r>")),
+            ("stores", Has("* doc")),
+            // compact, then verify
+            ("create-store pack", Starts("created store")),
+            ("use pack", Starts("using store")),
+            ("loadxml <root/>", Starts("loaded nodes")),
+        ]
+        .into_iter()
+        .map(|(line, want)| (line.to_string(), want))
+        .collect();
+        script.extend((0..20).map(|i| (format!("insert-last 1 <e>{i}</e>"), Starts("inserted"))));
+        script.push(("compact 8192".to_string(), Has(" ranges")));
+        script.push(("verify".to_string(), Starts("ok:")));
+
+        for (line, want) in &script {
+            let line = line.replace("{dir}", &dir.display().to_string());
+            let out = run(&mut s, &line);
+            let ok = match want {
+                Is(w) => out == *w,
+                Starts(w) => out.starts_with(w),
+                Has(w) => out.contains(w),
+            };
+            assert!(ok, "{line}\n  got: {out:?}");
+        }
+        assert_eq!(
+            std::fs::read(dir.join("out.xml")).unwrap(),
+            br#"<a k="v"><b>x &amp; y</b></a>"#
+        );
         assert_eq!(s.execute(Command::Quit), Outcome::Quit);
-    }
 
-    #[test]
-    fn directory_sessions_persist() {
-        let dir = std::env::temp_dir().join(format!("axs-cli-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        {
-            let mut s = Session::at_directory(&dir).unwrap();
-            run(&mut s, "loadxml <persisted/>");
-            let out = run(&mut s, "save");
-            assert!(out.contains("saved"), "{out}");
-        }
-        {
-            let mut s = Session::at_directory(&dir).unwrap();
-            assert_eq!(run(&mut s, "print"), "<persisted/>");
-        }
+        // A second lifetime over the same directory, the first having
+        // shut down without `save`, sees every store's content.
+        close(s, server);
+        let (mut s, server) = Session::local(Some(&root)).unwrap();
+        assert_eq!(
+            run(&mut s, "print"),
+            r#"<orders><order id="1"/><order id="2"><qty>5</qty></order></orders>"#
+        );
+        run(&mut s, "use nav");
+        assert_eq!(run(&mut s, "print"), "<a><b>x</b><c/></a>");
+        close(s, server);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn recover_and_verify_commands() {
-        let dir = std::env::temp_dir().join(format!("axs-cli-rec-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut s = Session::at_directory(&dir).unwrap();
-        run(&mut s, "loadxml <kept/>");
-        run(&mut s, "save");
-        // Unflushed change is discarded by recover, like a crash.
-        run(&mut s, "insert-last 1 <lost/>");
-        let out = run(&mut s, "recover");
-        assert!(out.contains("recovered"), "{out}");
-        assert_eq!(run(&mut s, "print"), "<kept/>");
-        let out = run(&mut s, "verify");
-        assert!(out.starts_with("ok:"), "{out}");
-        // In-memory sessions cannot recover but can verify.
-        let mut mem = Session::in_memory().unwrap();
-        assert!(run(&mut mem, "recover").starts_with("error:"));
-        run(&mut mem, "loadxml <m/>");
-        assert!(run(&mut mem, "verify").starts_with("ok:"));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn load_accepts_documents_with_prolog() {
-        let dir = std::env::temp_dir().join(format!("axs-cli-doc-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let file = dir.join("doc.xml");
-        std::fs::write(&file, "<?xml version=\"1.0\"?><r><x/></r>").unwrap();
-        let mut s = Session::in_memory().unwrap();
-        let out = run(&mut s, &format!("load {}", file.display()));
-        assert!(out.contains("loaded"), "{out}");
-        assert_eq!(run(&mut s, "print"), "<r><x/></r>");
-        std::fs::remove_dir_all(&dir).unwrap();
+    fn local_shell_server_admits_only_the_shell() {
+        let (mut s, server) = Session::local(None).unwrap();
+        let mut second = Client::connect(server.local_addr()).unwrap();
+        second.set_timeout(Some(Duration::from_secs(5))).unwrap();
+        let err = second.ping().unwrap_err();
+        assert!(err.is_busy(), "expected Busy, got {err}");
+        assert_eq!(run(&mut s, "print"), "(empty store)");
+        close(s, server);
     }
 }

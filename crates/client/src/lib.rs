@@ -28,9 +28,7 @@
 //! ```
 
 pub mod client;
-pub mod router;
 pub mod wire;
 
 pub use client::{Client, ClientError, ExplainEvent, ExplainReport, Match, StatEntry, StoreInfo};
-pub use router::{RouterError, ShardRouter};
 pub use wire::{ErrorCode, Frame, OpCode, Status};

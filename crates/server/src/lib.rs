@@ -51,7 +51,7 @@ mod pool;
 mod server;
 mod stats;
 
-pub use axs_catalog::{Catalog, CatalogConfig, CatalogError};
+pub use axs_catalog::{Catalog, CatalogConfig, CatalogError, DEFAULT_STORE};
 pub use config::ServerConfig;
 pub use server::{Server, ServerError, ServerHandle};
 pub use stats::{ReadGuard, ServerStats};

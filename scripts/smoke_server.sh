@@ -4,6 +4,8 @@
 # server down with SIGTERM, and check the store reopens clean with the
 # remote writes persisted. Then restart it, insert, `kill -9` it, and check
 # that the restarted server recovers the insert from the log it wrote.
+# Last, drive the local shell (`axs <dir>`, which serves its directory
+# in-process) and check its writes survive into verify and a second shell.
 #
 # Usage: scripts/smoke_server.sh [path-to-axs-binary]
 # The caller is expected to wrap this in a hard timeout (CI uses
@@ -192,5 +194,26 @@ SERVER_PID=""
 
 VERIFY_OUT="$("$AXS" verify "$STORE")" || fail "verify failed after recovery: $VERIFY_OUT"
 grep -q "^ok:" <<<"$VERIFY_OUT" || fail "verify output unexpected after recovery: $VERIFY_OUT"
+
+# local-shell stage: the shell humans use serves its directory to itself
+# and acknowledges each write once it is durable, so verify and a second
+# shell over the same directory see both writes without a `save`.
+LOCAL="$WORK/local"
+LOCAL_OUT="$("$AXS" "$LOCAL" <<'EOF'
+loadxml <orders><order id="1"/></orders>
+insert-last 1 <order id="2"/>
+quit
+EOF
+)" || fail "local shell exited non-zero: $LOCAL_OUT"
+grep -q "loaded nodes" <<<"$LOCAL_OUT" || fail "local loadxml did not succeed: $LOCAL_OUT"
+grep -q "inserted"     <<<"$LOCAL_OUT" || fail "local insert did not succeed: $LOCAL_OUT"
+LOCAL_VERIFY="$("$AXS" verify "$LOCAL")" || fail "verify failed after the local shell: $LOCAL_VERIFY"
+grep -q "^ok:" <<<"$LOCAL_VERIFY" || fail "verify output unexpected after the local shell: $LOCAL_VERIFY"
+LOCAL_OUT="$("$AXS" "$LOCAL" <<'EOF'
+query //order
+quit
+EOF
+)" || fail "second local shell exited non-zero: $LOCAL_OUT"
+grep -q "2 match(es)" <<<"$LOCAL_OUT" || fail "second local shell lost a write: $LOCAL_OUT"
 
 echo "smoke: OK — $VERIFY_OUT"
