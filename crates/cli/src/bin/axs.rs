@@ -21,7 +21,8 @@ use std::time::Duration;
 const USAGE: &str = "usage:
   axs [directory]                 interactive shell: serves the directory (a catalog
                                   root, as for serve; in-memory without one) to this
-                                  shell alone and runs the same commands as connect
+                                  shell alone and runs the same commands as connect;
+                                  one request, e.g. a load, carries at most 32 MiB
   axs serve [directory] [--addr HOST:PORT] [--workers N] [--queue N]
             [--max-connections N] [--commit-window-ms N] [--debug-sleep]
             [--slow-ms N] [--no-trace] [--max-open-stores N]

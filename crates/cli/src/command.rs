@@ -253,7 +253,7 @@ pub fn parse_command(line: &str) -> Result<Option<Command>, ParseCommandError> {
 /// The help text printed by `help`.
 pub const HELP: &str = "\
 commands:
-  load <path>                 parse an XML file and append it
+  load <path>                 parse an XML file (at most 32 MiB) and append it
   loadxml <xml>               parse inline XML and append it
   query <xpath>               evaluate a path (e.g. //order[@id='7'])
   for $x in <path> [where ..] [order by ..] return <tpl>   FLWOR query

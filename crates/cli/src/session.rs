@@ -9,7 +9,7 @@ use axs_server::{
     Catalog, CatalogConfig, CatalogError, Server, ServerConfig, ServerHandle, DEFAULT_STORE,
 };
 use std::fmt::Write as _;
-use std::net::ToSocketAddrs;
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::path::Path;
 use std::time::Duration;
 
@@ -45,6 +45,10 @@ pub fn open_catalog(dir: Option<&Path>, config: &ServerConfig) -> Result<Catalog
 /// An interactive session over one server connection.
 pub struct Session {
     client: Client,
+    /// The local shell's own server, which the session reconnects to when
+    /// a transport failure poisons its connection; `None` for
+    /// `axs connect`, whose user reconnects by hand.
+    local: Option<SocketAddr>,
 }
 
 impl Session {
@@ -52,6 +56,7 @@ impl Session {
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Session, ClientError> {
         Ok(Session {
             client: Client::connect(addr)?,
+            local: None,
         })
     }
 
@@ -62,33 +67,86 @@ impl Session {
     /// ends the server with `shutdown()` + `join()`, whose verdict is the
     /// final flush.
     pub fn local(dir: Option<&Path>) -> Result<(Session, ServerHandle), String> {
-        let config = ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            // A second process gets `Busy`: the server is this shell's.
-            max_connections: 1,
-            idle_timeout: LOCAL_TIMEOUT,
-            request_timeout: LOCAL_TIMEOUT,
-            // Span dumps would land on the user's terminal.
-            slow_request: None,
-            ..ServerConfig::default()
-        };
+        Session::local_with(
+            dir,
+            ServerConfig {
+                addr: "127.0.0.1:0".to_string(),
+                // A second process gets `Busy`: the server is this shell's.
+                max_connections: 1,
+                idle_timeout: LOCAL_TIMEOUT,
+                request_timeout: LOCAL_TIMEOUT,
+                // Span dumps would land on the user's terminal.
+                slow_request: None,
+                ..ServerConfig::default()
+            },
+        )
+    }
+
+    /// [`Session::local`] with its server's config given, so a test can
+    /// shorten the timeouts.
+    fn local_with(
+        dir: Option<&Path>,
+        config: ServerConfig,
+    ) -> Result<(Session, ServerHandle), String> {
         let catalog = open_catalog(dir, &config)
             .and_then(|c| c.slot(DEFAULT_STORE).map(|_| c))
             .map_err(|e| format!("cannot open store: {e}"))?;
         let server = Server::start_catalog(catalog, config)
             .map_err(|e| format!("cannot start the shell's server: {e}"))?;
-        let session = Session::connect(server.local_addr())
+        let client = Client::connect(server.local_addr())
             .map_err(|e| format!("cannot connect to the shell's server: {e}"))?;
+        let session = Session {
+            client,
+            local: Some(server.local_addr()),
+        };
         Ok((session, server))
     }
 
     /// Executes one command, producing printable output; a failure
-    /// renders as an `error:` line and the session goes on.
+    /// renders as an `error:` line and the session goes on. In the local
+    /// shell a failure that poisoned the connection (the server closed it
+    /// after its idle timeout, say) also reconnects, so the next command
+    /// runs.
     pub fn execute(&mut self, cmd: Command) -> Outcome {
         match self.try_execute(cmd) {
             Ok(outcome) => outcome,
-            Err(message) => Outcome::Output(format!("error: {message}")),
+            Err(message) => {
+                let mut out = format!("error: {message}");
+                if let (true, Some(addr)) = (self.client.is_poisoned(), self.local) {
+                    match self.reconnect(addr) {
+                        Ok(()) => out.push_str("\nreconnected to the shell's server"),
+                        Err(e) => {
+                            let _ = write!(out, "\ncannot reconnect to the shell's server: {e}");
+                        }
+                    }
+                }
+                Outcome::Output(out)
+            }
         }
+    }
+
+    /// Replaces the connection with a new one bound to the same store.
+    /// The shell's server admits one connection, so the old one closes
+    /// first; a `Busy` answer means the server has not yet seen that
+    /// close, and is retried for up to a second.
+    fn reconnect(&mut self, addr: SocketAddr) -> Result<(), ClientError> {
+        let store = self.client.current_store().0.to_string();
+        self.client.close();
+        let mut attempts = 0;
+        let mut client = loop {
+            let mut client = Client::connect(addr)?;
+            match client.ping() {
+                Ok(()) => break client,
+                Err(e) if e.is_busy() && attempts < 50 => {
+                    attempts += 1;
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+                Err(e) => return Err(e),
+            }
+        };
+        client.use_store(&store)?;
+        self.client = client;
+        Ok(())
     }
 
     /// Executes one command, returning a failure as its message.
@@ -259,6 +317,7 @@ mod tests {
     enum Want {
         Is(&'static str),
         Starts(&'static str),
+        Ends(&'static str),
         Has(&'static str),
     }
     use Want::*;
@@ -293,6 +352,10 @@ mod tests {
         let dir = scratch_dir("shell");
         let root = dir.join("root");
         std::fs::write(dir.join("doc.xml"), "<?xml version=\"1.0\"?><r><x/></r>").unwrap();
+        // A document one frame cannot carry.
+        let filler = "x".repeat(axs_client::wire::FRAME_MAX);
+        std::fs::write(dir.join("big.xml"), format!("<big>{filler}</big>")).unwrap();
+        drop(filler);
         let (mut s, server) = Session::local(Some(&root)).unwrap();
 
         let mut script: Vec<(String, Want)> = [
@@ -334,6 +397,7 @@ mod tests {
             ("create-store nav", Starts("created store \"nav\"")),
             ("use nav", Starts("using store \"nav\"")),
             ("loadxml <a><b>x</b><c/></a>", Is("loaded nodes [#1, #4]")),
+            ("report", Has("blocks 1")),
             ("value 2", Is("x")),
             ("parent 2", Is("#1")),
             ("parent 1", Is("(top level)")),
@@ -356,6 +420,9 @@ mod tests {
             ("loadxml <broken>", Starts("error:")),
             ("use nosuch", Starts("error:")),
             ("load {dir}/missing.xml", Starts("error:")),
+            // Refused before sending: the connection stays as it was.
+            ("load {dir}/big.xml", Starts("error: request frame of")),
+            ("load {dir}/big.xml", Ends("nothing was sent")),
             ("loadxml <ok/>", Starts("loaded nodes")),
             ("print", Is("<ok/>")),
             // FLWOR
@@ -400,6 +467,7 @@ mod tests {
             let ok = match want {
                 Is(w) => out == *w,
                 Starts(w) => out.starts_with(w),
+                Ends(w) => out.ends_with(w),
                 Has(w) => out.contains(w),
             };
             assert!(ok, "{line}\n  got: {out:?}");
@@ -432,6 +500,32 @@ mod tests {
         let err = second.ping().unwrap_err();
         assert!(err.is_busy(), "expected Busy, got {err}");
         assert_eq!(run(&mut s, "print"), "(empty store)");
+        run(&mut s, "loadxml <a><b/></a>");
+        assert!(run(&mut s, "verify").starts_with("ok:"));
+        close(s, server);
+    }
+
+    /// A connection the server closed (here after a short idle timeout)
+    /// costs the local shell one failed command: the session reconnects,
+    /// on the same store, and the next command runs.
+    #[test]
+    fn local_shell_reconnects_after_the_server_drops_it() {
+        let config = ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            max_connections: 1,
+            idle_timeout: Duration::from_millis(300),
+            slow_request: None,
+            ..ServerConfig::default()
+        };
+        let (mut s, server) = Session::local_with(None, config).unwrap();
+        run(&mut s, "create-store side");
+        run(&mut s, "use side");
+        run(&mut s, "loadxml <a/>");
+        std::thread::sleep(Duration::from_millis(800));
+        let out = run(&mut s, "print");
+        assert!(out.starts_with("error:"), "{out}");
+        assert!(out.ends_with("reconnected to the shell's server"), "{out}");
+        assert_eq!(run(&mut s, "print"), "<a/>");
         close(s, server);
     }
 }

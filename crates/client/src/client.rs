@@ -25,6 +25,10 @@ pub enum ClientError {
     /// An earlier `Io`/`Wire` error poisoned this connection (the stream
     /// may be desynchronized mid-frame); reconnect to continue.
     Poisoned,
+    /// The request's frame would be this many bytes, over
+    /// [`wire::FRAME_MAX`]. Nothing was sent, so the connection stays
+    /// usable.
+    TooLarge(usize),
 }
 
 impl ClientError {
@@ -53,6 +57,11 @@ impl fmt::Display for ClientError {
                     "connection poisoned by an earlier io/wire error; reconnect"
                 )
             }
+            ClientError::TooLarge(bytes) => write!(
+                f,
+                "request frame of {bytes} B exceeds the {} B frame limit; nothing was sent",
+                wire::FRAME_MAX
+            ),
         }
     }
 }
@@ -216,7 +225,8 @@ impl ExplainReport {
 /// Every subsequent request on a poisoned client fails fast with
 /// [`ClientError::Poisoned`] instead of silently decoding garbage;
 /// reconnect to continue. Typed server errors ([`ClientError::Server`])
-/// leave the stream framed and do not poison.
+/// and requests refused before sending ([`ClientError::TooLarge`]) leave
+/// the stream framed and do not poison.
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
@@ -266,6 +276,14 @@ impl Client {
         self.poisoned
     }
 
+    /// Closes the connection now, so the server frees its slot before this
+    /// client is dropped; every further request fails with
+    /// [`ClientError::Poisoned`].
+    pub fn close(&mut self) {
+        self.poisoned = true;
+        let _ = self.reader.get_ref().shutdown(std::net::Shutdown::Both);
+    }
+
     fn roundtrip(&mut self, opcode: OpCode, payload: Vec<u8>) -> Result<Vec<u8>, ClientError> {
         let frames = self.roundtrip_stream(opcode, payload)?;
         debug_assert_eq!(frames.len(), 1);
@@ -288,6 +306,10 @@ impl Client {
     ) -> Result<Vec<Frame>, ClientError> {
         if self.poisoned {
             return Err(ClientError::Poisoned);
+        }
+        let bytes = wire::FRAME_HEADER + payload.len();
+        if bytes > wire::FRAME_MAX {
+            return Err(ClientError::TooLarge(bytes));
         }
         let result = self.roundtrip_stream_inner(opcode, payload);
         if matches!(result, Err(ClientError::Io(_) | ClientError::Wire(_))) {
@@ -678,7 +700,7 @@ impl Client {
     }
 
     /// Dumps the server's flight recorder (most recent `limit` requests,
-    /// 0 = server default). The server also writes the dump to its stderr.
+    /// 0 = server default).
     pub fn dump_recorder(&mut self, limit: u64) -> Result<String, ClientError> {
         let mut p = Vec::new();
         put_u64(&mut p, limit);

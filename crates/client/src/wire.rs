@@ -124,8 +124,7 @@ pub enum OpCode {
     /// per-stage events, and the adaptive decisions the request triggered.
     Explain = 29,
     /// Dump the flight recorder: `u64 limit` (0 = default) → `str dump`.
-    /// Also writes the dump to the server's stderr. Ignores the header's
-    /// store id.
+    /// Ignores the header's store id.
     DumpRecorder = 30,
 }
 

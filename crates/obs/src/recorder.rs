@@ -1,7 +1,7 @@
 //! The always-on flight recorder: a non-blocking ring of recent request
 //! summaries, cheap enough to feed on every request even with tracing
-//! disabled, dumped to stderr on panic, on slow requests, and on demand
-//! (the `DumpRecorder` opcode).
+//! disabled, dumped to stderr on panic and on slow requests, and rendered
+//! on demand for the client that asks (the `DumpRecorder` opcode).
 //!
 //! The ring reuses the trace-ring discipline: writers claim a slot with
 //! one relaxed atomic increment and `try_lock` it — contention drops the
@@ -156,8 +156,7 @@ impl FlightRecorder {
         out
     }
 
-    /// Renders and writes a dump to stderr (panic hook, slow-request log,
-    /// `DumpRecorder`).
+    /// Renders and writes a dump to stderr (panic hook, slow-request log).
     pub fn dump_to_stderr(&self, reason: &str, limit: usize) {
         eprint!("{}", self.render(reason, limit));
     }

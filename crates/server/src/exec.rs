@@ -332,7 +332,6 @@ impl Engine {
             limit as usize
         };
         let text = axs_obs::recorder().render("on-demand", limit);
-        eprint!("{text}");
         let mut p = Vec::new();
         put_str(&mut p, &text);
         Ok(vec![Frame::done(req.req_id, req.opcode, p)])
@@ -982,8 +981,7 @@ impl Engine {
     }
 
     fn parse_xml(xml: &str) -> Result<Vec<Token>, ExecError> {
-        // Accept full documents (with prolog) or bare fragments, exactly
-        // like the CLI's load commands.
+        // Accept full documents (with prolog) or bare fragments.
         let trimmed = xml.trim_start();
         if trimmed.starts_with("<?xml") || trimmed.starts_with("<!DOCTYPE") {
             let doc = parse_document(xml, ParseOptions::data_centric())

@@ -466,7 +466,7 @@ fn answer(req: &Frame, shared: &Arc<Shared>, writer: &mut BufWriter<TcpStream>) 
             }
         }
     };
-    let ok = write_all_frames(writer, &outcome.frames);
+    let ok = write_response(writer, req, &outcome.frames);
     if outcome.shutdown {
         shared.request_shutdown();
     }
@@ -559,6 +559,25 @@ fn error_frame(req: &Frame, code: ErrorCode, msg: &str) -> Frame {
     let mut f = Frame::error(req.req_id, req.opcode, code, msg);
     f.store = req.store;
     f
+}
+
+/// Writes `req`'s response. A frame that would exceed [`wire::FRAME_MAX`]
+/// (say, `ReadNode` of a subtree that serializes past it) is answered with
+/// `TooLarge` instead, before any frame goes out, so the connection stays
+/// framed and open.
+fn write_response(writer: &mut BufWriter<TcpStream>, req: &Frame, frames: &[Frame]) -> bool {
+    let oversized = frames
+        .iter()
+        .map(|f| wire::FRAME_HEADER + f.payload.len())
+        .find(|&bytes| bytes > wire::FRAME_MAX);
+    if let Some(bytes) = oversized {
+        let message = format!(
+            "response frame of {bytes} B exceeds the {} B frame limit",
+            wire::FRAME_MAX
+        );
+        return wire::write_frame(writer, &error_frame(req, ErrorCode::TooLarge, &message)).is_ok();
+    }
+    write_all_frames(writer, frames)
 }
 
 fn write_all_frames(writer: &mut BufWriter<TcpStream>, frames: &[Frame]) -> bool {

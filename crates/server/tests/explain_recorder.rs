@@ -168,8 +168,7 @@ fn dump_recorder_round_trips_recent_requests() {
     assert!(dump.contains("op=ReadNode"), "{dump}");
     assert!(dump.contains("op=BulkLoad"), "{dump}");
     assert!(dump.contains("total="), "{dump}");
-    // The server renders the same dump to its stderr; the in-process
-    // counter proves it happened without capturing the stream.
+    // The in-process counter counts the rendered dump.
     assert!(axs_obs::recorder().dump_count() > before);
 
     // A limit trims the table.

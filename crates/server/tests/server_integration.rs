@@ -682,3 +682,29 @@ fn read_all_streams_across_a_frame_boundary() {
         handle.shutdown();
     }
 }
+
+/// A response one frame cannot carry — `ReadNode` of a subtree that
+/// serializes past `FRAME_MAX` — is answered with a typed `TooLarge`
+/// error, and the connection stays open and framed.
+#[test]
+fn oversized_response_is_refused_and_the_connection_stays_open() {
+    let handle = start_in_memory(ServerConfig::default());
+    let mut c = connect(&handle);
+    let (root, _) = c.bulk_load("<r/>").unwrap();
+    // Two inserts of just over half a frame each, in elements small
+    // enough for a block.
+    let element = format!("<t>{}</t>", "x".repeat(4000));
+    let half = element.repeat(axs_client::wire::FRAME_MAX / 2 / element.len() + 1);
+    c.insert_last(root, &half).unwrap();
+    c.insert_last(root, &half).unwrap();
+    drop(half);
+    let err = c.read_node(root).unwrap_err();
+    assert!(
+        matches!(&err, ClientError::Server { code, .. } if format!("{code}") == "too-large"),
+        "{err}"
+    );
+    assert!(!c.is_poisoned());
+    assert_eq!(c.read_node(2).unwrap(), element);
+    handle.shutdown();
+    handle.join().unwrap();
+}

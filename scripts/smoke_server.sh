@@ -5,7 +5,8 @@
 # remote writes persisted. Then restart it, insert, `kill -9` it, and check
 # that the restarted server recovers the insert from the log it wrote.
 # Last, drive the local shell (`axs <dir>`, which serves its directory
-# in-process) and check its writes survive into verify and a second shell.
+# in-process) and check its writes survive into verify and a second shell,
+# and that a write it acknowledged survives a `kill -9` of the shell.
 #
 # Usage: scripts/smoke_server.sh [path-to-axs-binary]
 # The caller is expected to wrap this in a hard timeout (CI uses
@@ -18,11 +19,14 @@ WORK="$(mktemp -d)"
 STORE="$WORK/store"
 SERVER_LOG="$WORK/server.log"
 SERVER_PID=""
+SHELL_PID=""
 
 cleanup() {
-    if [[ -n "$SERVER_PID" ]] && kill -0 "$SERVER_PID" 2>/dev/null; then
-        kill -9 "$SERVER_PID" 2>/dev/null || true
-    fi
+    for pid in "$SERVER_PID" "$SHELL_PID"; do
+        if [[ -n "$pid" ]] && kill -0 "$pid" 2>/dev/null; then
+            kill -9 "$pid" 2>/dev/null || true
+        fi
+    done
     rm -rf "$WORK"
 }
 trap cleanup EXIT
@@ -215,5 +219,34 @@ quit
 EOF
 )" || fail "second local shell exited non-zero: $LOCAL_OUT"
 grep -q "2 match(es)" <<<"$LOCAL_OUT" || fail "second local shell lost a write: $LOCAL_OUT"
+
+# local-shell crash stage: the shell stays open on a fifo, inserts, and is
+# killed with `kill -9` once it prints the ack — no `save`, no shutdown
+# flush — so a new shell sees the insert only if the ack meant durable.
+mkfifo "$WORK/shell.in"
+"$AXS" "$LOCAL" <"$WORK/shell.in" >"$WORK/shell.out" 2>&1 &
+SHELL_PID=$!
+exec 3>"$WORK/shell.in"
+echo 'insert-last 1 <order id="3"/>' >&3
+for _ in $(seq 1 100); do
+    grep -q "inserted" "$WORK/shell.out" && break
+    kill -0 "$SHELL_PID" 2>/dev/null || break
+    sleep 0.1
+done
+grep -q "inserted" "$WORK/shell.out" \
+    || fail "local insert before the kill did not succeed: $(cat "$WORK/shell.out")"
+kill -9 "$SHELL_PID"
+wait "$SHELL_PID" 2>/dev/null || true
+SHELL_PID=""
+exec 3>&-
+LOCAL_OUT="$("$AXS" "$LOCAL" <<'EOF'
+query //order
+quit
+EOF
+)" || fail "local shell after kill -9 exited non-zero: $LOCAL_OUT"
+grep -q "3 match(es)" <<<"$LOCAL_OUT" \
+    || fail "acknowledged local insert lost across kill -9: $LOCAL_OUT"
+LOCAL_VERIFY="$("$AXS" verify "$LOCAL")" || fail "verify failed after the local crash: $LOCAL_VERIFY"
+grep -q "^ok:" <<<"$LOCAL_VERIFY" || fail "verify output unexpected after the local crash: $LOCAL_VERIFY"
 
 echo "smoke: OK — $VERIFY_OUT"
