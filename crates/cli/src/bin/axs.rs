@@ -130,7 +130,7 @@ fn repl(mut execute: impl FnMut(axs_cli::Command) -> Outcome) -> i32 {
                 return 1;
             }
         }
-        let output = match parse_command(&line) {
+        let mut output = match parse_command(&line) {
             Ok(None) => continue,
             Ok(Some(cmd)) => match execute(cmd) {
                 Outcome::Output(text) => text,
@@ -138,7 +138,12 @@ fn repl(mut execute: impl FnMut(axs_cli::Command) -> Outcome) -> i32 {
             },
             Err(e) => format!("error: {e}"),
         };
-        if !emit(&format!("{output}\n")) {
+        // Multi-line answers (`query`, `children`, `stats`…) already end
+        // in a newline; a second would leave a blank line before the prompt.
+        if !output.ends_with('\n') {
+            output.push('\n');
+        }
+        if !emit(&output) {
             return 0;
         }
     }

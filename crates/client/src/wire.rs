@@ -396,8 +396,16 @@ pub fn read_hello(r: &mut impl Read) -> io::Result<()> {
     Ok(())
 }
 
-/// Writes one frame.
+/// Writes one frame and flushes `w`: the path of every request and of
+/// every single-frame answer.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
+    encode_frame(w, frame)?;
+    w.flush()
+}
+
+/// Writes one frame to `w` without flushing it, so that a response's
+/// frames can go out back to back behind one flush.
+pub fn encode_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
     let body_len = FRAME_HEADER + frame.payload.len();
     if body_len > FRAME_MAX {
         return Err(io::Error::new(
@@ -412,8 +420,7 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
     header[13] = frame.status;
     header[14..16].copy_from_slice(&frame.store.to_le_bytes());
     w.write_all(&header)?;
-    w.write_all(&frame.payload)?;
-    w.flush()
+    w.write_all(&frame.payload)
 }
 
 /// Reads one frame. Oversized or truncated frames surface as

@@ -615,7 +615,9 @@ impl XmlStore {
         } else {
             self.data_pool.sync()?;
         }
-        self.index_pool.sync()?;
+        // The index pool is not synced: `index.pages` only takes its
+        // evictions, and `open()` truncates it and rebuilds both indexes
+        // from the range chain, so no byte of it outlives the process.
         self.publish_epoch(0)?;
         Ok(())
     }

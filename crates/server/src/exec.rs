@@ -46,31 +46,24 @@ use std::sync::Arc;
 
 /// Streamed `ReadAll` chunk size: big enough to amortize framing, small
 /// enough that slow clients see steady progress.
-const READ_ALL_CHUNK: usize = 64 * 1024;
+pub(crate) const READ_ALL_CHUNK: usize = 64 * 1024;
 
 /// The `ReadAll` body: the view serialized straight into `READ_ALL_CHUNK`
 /// payloads — every one full but the last, split on byte boundaries (the
 /// client re-validates UTF-8 over the whole accumulation) — plus the token
 /// count. Tokens are borrowed from the view's decoded ranges, never cloned,
-/// and no whole-document string is built.
+/// each token's text is written once, into the open chunk, and no
+/// whole-document string is built.
 fn read_all_chunks<V: ReadView>(view: &V) -> Result<(Vec<Vec<u8>>, u64), ExecError> {
     let mut ser = StreamSerializer::new(SerializeOptions::default());
     let mut chunks = Vec::new();
-    let mut chunk = Vec::new();
+    let mut chunk = Vec::with_capacity(READ_ALL_CHUNK);
     let mut tokens = 0u64;
     view.scan_ranges(|data| {
         for tok in &data.tokens {
-            let mut text = ser.write_token(tok)?.as_bytes();
-            while !text.is_empty() {
-                if chunk.is_empty() {
-                    chunk.reserve_exact(READ_ALL_CHUNK);
-                }
-                let take = text.len().min(READ_ALL_CHUNK - chunk.len());
-                chunk.extend_from_slice(&text[..take]);
-                text = &text[take..];
-                if chunk.len() == READ_ALL_CHUNK {
-                    chunks.push(std::mem::take(&mut chunk));
-                }
+            ser.write_token_into(tok, &mut chunk)?;
+            if chunk.len() >= READ_ALL_CHUNK {
+                cut_full_chunks(&mut chunk, &mut chunks);
             }
         }
         tokens += data.tokens.len() as u64;
@@ -81,6 +74,42 @@ fn read_all_chunks<V: ReadView>(view: &V) -> Result<(Vec<Vec<u8>>, u64), ExecErr
         chunks.push(chunk);
     }
     Ok((chunks, tokens))
+}
+
+/// Moves every full `READ_ALL_CHUNK` at the front of `chunk` to `chunks`
+/// and leaves the remainder, shorter than a chunk, open in `chunk`. Only
+/// the bytes past the first chunk are copied, and a chunk that a long
+/// token grew is shrunk back before it is kept.
+fn cut_full_chunks(chunk: &mut Vec<u8>, chunks: &mut Vec<Vec<u8>>) {
+    let full_end = chunk.len() - chunk.len() % READ_ALL_CHUNK;
+    let mut rest = Vec::with_capacity(READ_ALL_CHUNK);
+    rest.extend_from_slice(&chunk[full_end..]);
+    let more: Vec<Vec<u8>> = chunk[READ_ALL_CHUNK..full_end]
+        .chunks_exact(READ_ALL_CHUNK)
+        .map(<[u8]>::to_vec)
+        .collect();
+    chunk.truncate(READ_ALL_CHUNK);
+    chunk.shrink_to(READ_ALL_CHUNK);
+    chunks.push(std::mem::replace(chunk, rest));
+    chunks.extend(more);
+}
+
+/// Appends `tokens` to `payload` as a wire string (`u32` length + UTF-8),
+/// serialized in place by `ser`, which is then ready for the next item.
+fn put_rendered<'a>(
+    payload: &mut Vec<u8>,
+    ser: &mut StreamSerializer,
+    tokens: impl IntoIterator<Item = &'a Token>,
+) -> Result<(), ExecError> {
+    let at = payload.len();
+    put_u32(payload, 0);
+    for tok in tokens {
+        ser.write_token_into(tok, payload)?;
+    }
+    ser.finish_item()?;
+    let len = (payload.len() - at - 4) as u32;
+    payload[at..at + 4].copy_from_slice(&len.to_le_bytes());
+    Ok(())
 }
 
 /// What one dispatched request produced.
@@ -583,12 +612,13 @@ impl Engine {
                 let table = view.node_table()?;
                 let matches = axs_xpath::evaluate_table(&table, &compiled);
                 let mut frames = Vec::with_capacity(matches.len() + 1);
+                let mut ser = StreamSerializer::new(SerializeOptions::default());
                 for &n in &matches {
                     let node = table.node_id(n);
                     let mut p = Vec::new();
                     p.push(u8::from(node.is_some()));
                     put_u64(&mut p, node.map_or(0, NodeId::get));
-                    put_str(&mut p, &Self::render(table.tokens(n))?);
+                    put_rendered(&mut p, &mut ser, table.tokens(n))?;
                     frames.push(Frame::more(id, op, p));
                 }
                 let mut fin = Vec::new();
@@ -603,9 +633,10 @@ impl Engine {
                     .map_err(|e| ExecError::new(ErrorCode::Parse, e.to_string()))?;
                 let rows = axs_xquery::evaluate_flwor(view, &q)?;
                 let mut frames = Vec::with_capacity(rows.len() + 1);
+                let mut ser = StreamSerializer::new(SerializeOptions::default());
                 for row in &rows {
                     let mut p = Vec::new();
-                    put_str(&mut p, &Self::render(row)?);
+                    put_rendered(&mut p, &mut ser, row)?;
                     frames.push(Frame::more(id, op, p));
                 }
                 let mut fin = Vec::new();
@@ -618,7 +649,8 @@ impl Engine {
                 r.finish()?;
                 let tokens = view.read_node(node)?;
                 let mut p = Vec::new();
-                put_str(&mut p, &Self::render(&tokens)?);
+                let mut ser = StreamSerializer::new(SerializeOptions::default());
+                put_rendered(&mut p, &mut ser, &tokens)?;
                 vec![Frame::done(id, op, p)]
             }
             Value => {
@@ -993,16 +1025,6 @@ impl Engine {
         }
     }
 
-    fn render<'a>(tokens: impl IntoIterator<Item = &'a Token>) -> Result<String, ExecError> {
-        let mut ser = StreamSerializer::new(SerializeOptions::default());
-        let mut out = String::new();
-        for tok in tokens {
-            out.push_str(ser.write_token(tok)?);
-        }
-        ser.finish()?;
-        Ok(out)
-    }
-
     fn interval_payload(iv: axs_xdm::IdInterval) -> Vec<u8> {
         let mut p = Vec::with_capacity(16);
         put_u64(&mut p, iv.start.get());
@@ -1015,6 +1037,7 @@ impl Engine {
 mod tests {
     use super::*;
     use axs_core::{ConcurrentStore, StoreBuilder};
+    use axs_storage::StorageConfig;
     use axs_xml::serialize;
 
     /// A document that serializes to exactly `len` bytes with `ch` (a 2-,
@@ -1054,6 +1077,7 @@ mod tests {
             assert!(full.iter().all(|c| c.len() == READ_ALL_CHUNK));
             assert!(!last.is_empty() && last.len() <= READ_ALL_CHUNK);
         }
+        assert!(chunks.iter().all(|c| c.capacity() <= READ_ALL_CHUNK));
         assert_eq!(chunks.len(), xml.len().div_ceil(READ_ALL_CHUNK));
     }
 
@@ -1075,6 +1099,42 @@ mod tests {
                 store.with_read(|s| check(s, &xml));
                 check(&*store.epochs().pin().unwrap(), &xml);
             }
+        }
+    }
+
+    /// One text token that serializes to more than two chunks: `&`s that
+    /// each escape to five bytes, with `ch` straddling every boundary. It
+    /// is cut into full chunks, and none is kept oversized. A 32 KiB page
+    /// (the largest a block supports) holds the token.
+    #[test]
+    fn read_all_chunks_cut_a_token_longer_than_two_chunks() {
+        const C: usize = READ_ALL_CHUNK;
+        for ch in ['é', '€', '😀'] {
+            let mut buf = [0u8; 4];
+            let ch = ch.encode_utf8(&mut buf);
+            let mut xml = String::from("<t>");
+            let mut boundary = C;
+            while xml.len() < 2 * C + 1000 {
+                if xml.len() + 5 < boundary - 1 {
+                    xml.push_str("&amp;");
+                } else {
+                    while xml.len() < boundary - 1 {
+                        xml.push('a');
+                    }
+                    xml.push_str(ch);
+                    boundary += C;
+                }
+            }
+            xml.push_str("</t>");
+            let tokens = parse_fragment(&xml, ParseOptions::data_centric()).unwrap();
+            assert_eq!(tokens.len(), 3, "one element holding one text token");
+            let storage = StorageConfig {
+                page_size: 32 * 1024,
+                ..StorageConfig::default()
+            };
+            let store = ConcurrentStore::new(StoreBuilder::new().storage(storage).build().unwrap());
+            store.with_write_durable(|s| s.bulk_insert(tokens)).unwrap();
+            store.with_read(|s| check(s, &xml));
         }
     }
 }

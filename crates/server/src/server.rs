@@ -25,7 +25,7 @@
 //!   or session can touch it.
 
 use crate::config::ServerConfig;
-use crate::exec::{DispatchOutcome, Engine};
+use crate::exec::{DispatchOutcome, Engine, READ_ALL_CHUNK};
 use crate::metrics::EngineMetrics;
 use crate::pool::{SubmitError, WorkerPool};
 use crate::stats::ServerStats;
@@ -34,7 +34,7 @@ use axs_client::wire::{self, ErrorCode, Frame, OpCode, Status};
 use axs_core::XmlStore;
 use parking_lot::Mutex;
 use std::fmt;
-use std::io::{BufReader, BufWriter, ErrorKind};
+use std::io::{BufReader, BufWriter, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -44,6 +44,11 @@ use std::time::{Duration, Instant};
 /// How often blocked reads wake up to check the shutdown flag and the
 /// idle deadline. Bounds shutdown latency, not throughput.
 const POLL_TICK: Duration = Duration::from_millis(100);
+
+/// The session writer's buffer: one full `ReadAll` frame. A
+/// response's frames are encoded into it back to back and reach the socket
+/// in writes of up to this size, with one flush at the response's end.
+const SESSION_WRITE_BUF: usize = 4 + wire::FRAME_HEADER + READ_ALL_CHUNK;
 
 /// Concurrent courtesy-reject threads (see [`reject_connection`]). Beyond
 /// this, over-cap connections are dropped outright so a connection flood
@@ -347,7 +352,7 @@ fn run_session(stream: TcpStream, shared: &Arc<Shared>) {
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
-    let mut writer = BufWriter::new(write_half);
+    let mut writer = session_writer(write_half);
     let mut reader = BufReader::new(stream);
     if wire::write_hello(&mut writer).is_err() || read_hello_polled(&mut reader, shared).is_err() {
         return;
@@ -442,7 +447,7 @@ fn answer(req: &Frame, shared: &Arc<Shared>, writer: &mut BufWriter<TcpStream>) 
     // its only work is flipping the flag.
     if opcode == Some(OpCode::Shutdown) {
         let outcome = shared.engine.dispatch(req);
-        let ok = write_all_frames(writer, &outcome.frames);
+        let ok = write_response(writer, req, &outcome.frames);
         shared.request_shutdown();
         return ok;
     }
@@ -561,11 +566,18 @@ fn error_frame(req: &Frame, code: ErrorCode, msg: &str) -> Frame {
     f
 }
 
-/// Writes `req`'s response. A frame that would exceed [`wire::FRAME_MAX`]
-/// (say, `ReadNode` of a subtree that serializes past it) is answered with
-/// `TooLarge` instead, before any frame goes out, so the connection stays
-/// framed and open.
-fn write_response(writer: &mut BufWriter<TcpStream>, req: &Frame, frames: &[Frame]) -> bool {
+/// The buffered writer a session answers through (see [`SESSION_WRITE_BUF`]).
+fn session_writer<W: Write>(inner: W) -> BufWriter<W> {
+    BufWriter::with_capacity(SESSION_WRITE_BUF, inner)
+}
+
+/// Writes `req`'s response: every frame encoded back to back, then one
+/// flush, so a streamed answer costs a write per buffer of frames instead
+/// of one per row, and wakes the client once. A frame that would exceed
+/// [`wire::FRAME_MAX`] (say, `ReadNode` of a subtree that serializes past
+/// it) is answered with `TooLarge` instead, before any frame goes out, so
+/// the connection stays framed and open.
+fn write_response(writer: &mut impl Write, req: &Frame, frames: &[Frame]) -> bool {
     let oversized = frames
         .iter()
         .map(|f| wire::FRAME_HEADER + f.payload.len())
@@ -577,13 +589,143 @@ fn write_response(writer: &mut BufWriter<TcpStream>, req: &Frame, frames: &[Fram
         );
         return wire::write_frame(writer, &error_frame(req, ErrorCode::TooLarge, &message)).is_ok();
     }
-    write_all_frames(writer, frames)
-}
-
-fn write_all_frames(writer: &mut BufWriter<TcpStream>, frames: &[Frame]) -> bool {
-    frames.iter().all(|f| wire::write_frame(writer, f).is_ok())
+    frames
+        .iter()
+        .try_for_each(|f| wire::encode_frame(writer, f))
+        .and_then(|()| writer.flush())
+        .is_ok()
 }
 
 fn would_block(e: &std::io::Error) -> bool {
     matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use axs_client::wire::{put_str, put_u64, FRAME_HEADER};
+
+    /// A socket stand-in that records what reaches it and counts the
+    /// `write` and `flush` calls.
+    #[derive(Default)]
+    struct CountingSink {
+        bytes: Vec<u8>,
+        writes: usize,
+        flushes: usize,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
+    fn decode_all(mut bytes: &[u8]) -> Vec<Frame> {
+        let mut frames = Vec::new();
+        while !bytes.is_empty() {
+            frames.push(wire::read_frame(&mut bytes).unwrap());
+        }
+        frames
+    }
+
+    /// Writes `frames` as `req`'s response through a session writer and
+    /// returns the sink, checking that nothing stayed buffered.
+    fn respond(req: &Frame, frames: &[Frame]) -> CountingSink {
+        let mut writer = session_writer(CountingSink::default());
+        assert!(write_response(&mut writer, req, frames));
+        assert!(
+            writer.buffer().is_empty(),
+            "a response leaves nothing buffered"
+        );
+        writer.into_inner().ok().unwrap()
+    }
+
+    #[test]
+    fn a_streamed_response_is_few_writes_and_one_flush() {
+        let req = Frame::request_on(7, OpCode::Query, 3, Vec::new());
+        let mut frames: Vec<Frame> = (0..5_000u64)
+            .map(|i| {
+                let mut p = vec![1];
+                put_u64(&mut p, i);
+                put_str(
+                    &mut p,
+                    &format!("<item id=\"item{i}\"><name>row {i}</name></item>"),
+                );
+                Frame::more(7, req.opcode, p)
+            })
+            .collect();
+        frames.push(Frame::done(7, req.opcode, 5_000u64.to_le_bytes().to_vec()));
+        let sink = respond(&req, &frames);
+        let bytes: usize = frames
+            .iter()
+            .map(|f| 4 + FRAME_HEADER + f.payload.len())
+            .sum();
+        assert_eq!(sink.bytes.len(), bytes);
+        let bound = bytes.div_ceil(64 * 1024) + 1;
+        assert!(
+            sink.writes <= bound,
+            "{} writes for {bytes} B (bound {bound})",
+            sink.writes
+        );
+        assert_eq!(sink.flushes, 1);
+        assert_eq!(decode_all(&sink.bytes), frames);
+    }
+
+    #[test]
+    fn full_read_all_chunks_go_out_one_write_each() {
+        let req = Frame::request(2, OpCode::ReadAll, Vec::new());
+        let mut frames: Vec<Frame> = (0..4u8)
+            .map(|i| Frame::more(2, req.opcode, vec![i; READ_ALL_CHUNK]))
+            .collect();
+        frames.push(Frame::done(2, req.opcode, 9u64.to_le_bytes().to_vec()));
+        let sink = respond(&req, &frames);
+        assert_eq!(sink.writes, frames.len());
+        assert_eq!(sink.flushes, 1);
+        assert_eq!(decode_all(&sink.bytes), frames);
+    }
+
+    #[test]
+    fn one_frame_and_error_answers_are_flushed() {
+        let req = Frame::request(1, OpCode::ReadNode, Vec::new());
+        let answer = Frame::done(1, req.opcode, b"\x03\0\0\0<a/>".to_vec());
+        let sink = respond(&req, std::slice::from_ref(&answer));
+        assert_eq!((sink.writes, sink.flushes), (1, 1));
+        assert_eq!(decode_all(&sink.bytes), vec![answer]);
+
+        let error = error_frame(&req, ErrorCode::Store, "no such node");
+        let sink = respond(&req, std::slice::from_ref(&error));
+        assert_eq!((sink.writes, sink.flushes), (1, 1));
+        assert_eq!(decode_all(&sink.bytes), vec![error.clone()]);
+
+        // The session's own one-frame answers (busy, timeout, protocol)
+        // go through `write_frame`, which flushes too.
+        let mut writer = session_writer(CountingSink::default());
+        wire::write_frame(&mut writer, &error).unwrap();
+        assert!(writer.buffer().is_empty());
+        assert_eq!(writer.get_ref().flushes, 1);
+    }
+
+    #[test]
+    fn too_large_refusal_goes_out_before_any_frame() {
+        let req = Frame::request_on(5, OpCode::Query, 2, Vec::new());
+        let frames = vec![
+            Frame::more(5, req.opcode, b"small".to_vec()),
+            Frame::more(5, req.opcode, vec![0; wire::FRAME_MAX]),
+            Frame::done(5, req.opcode, 2u64.to_le_bytes().to_vec()),
+        ];
+        let sink = respond(&req, &frames);
+        assert_eq!(sink.flushes, 1);
+        let sent = decode_all(&sink.bytes);
+        assert_eq!(sent.len(), 1, "only the refusal goes out");
+        assert_eq!(Status::from_u8(sent[0].status), Some(Status::Err));
+        assert_eq!(sent[0].store, 2);
+        assert_eq!(sent[0].decode_error().unwrap().0, ErrorCode::TooLarge);
+    }
 }

@@ -40,7 +40,7 @@ pub use page::PageId;
 pub use pool::{BufferPool, PoolOptions, PoolStats, RetryPolicy};
 pub use store::{FilePageStore, MemPageStore, PageStore};
 pub use wal::{
-    CommitTicket, GroupCommit, GroupCommitStats, RecoveredImage, Wal, WalRecovery,
+    CommitTicket, GroupCommit, GroupCommitStats, LoggedImage, RecoveredImage, Wal, WalRecovery,
     GC_HISTOGRAM_BOUNDS, GC_HISTOGRAM_BUCKETS,
 };
 

@@ -17,7 +17,7 @@
 //!
 //! All fields are little-endian. The record CRC covers `kind ..= payload`.
 //! A page image's payload is the page up to its last non-zero byte, so
-//! `len <= page_size`; the scan zero-fills it back to a full page, and a
+//! `len <= page_size`; replay zero-fills it back to a full page, and a
 //! record claiming more than `page_size` bytes is torn. Version 1 logs
 //! held full images only (`len == page_size`), which the same rule reads;
 //! [`Wal::reset`] always writes a version-2 header, and a recovered log is
@@ -86,28 +86,57 @@ pub struct RecoveredImage {
     pub image: Vec<u8>,
 }
 
+/// A page-image record of a committed batch, located in the scanned log:
+/// the scan copies no image, so its memory is the log itself.
+#[derive(Debug, Clone)]
+pub struct LoggedImage {
+    /// The page the image belongs to.
+    pub page: PageId,
+    /// The LSN of the record carrying the image.
+    pub lsn: u64,
+    /// Where the record's payload sits in the scanned log.
+    payload: std::ops::Range<usize>,
+}
+
 /// What a recovery scan found in the log.
 #[derive(Debug, Default)]
 pub struct WalRecovery {
     /// Committed batches, in commit order. Replaying them in order (later
     /// images win) reproduces the state the last successful commit promised.
-    pub batches: Vec<Vec<RecoveredImage>>,
+    pub batches: Vec<Vec<LoggedImage>>,
     /// Bytes past the last structurally-valid record — a torn append.
     pub torn_tail_bytes: u64,
     /// Complete page-image records that were never sealed by a commit.
     pub uncommitted_records: u64,
+    /// The log as read, which `batches` point into.
+    log: Vec<u8>,
+    page_size: usize,
 }
 
 impl WalRecovery {
+    /// The page `img` logged: its payload, zero-filled back to a full page.
+    pub fn image(&self, img: &LoggedImage) -> Vec<u8> {
+        let mut image = vec![0u8; self.page_size];
+        image[..img.payload.len()].copy_from_slice(&self.log[img.payload.clone()]);
+        image
+    }
+
     /// The last committed image of each page, in page order. Writing just
     /// these reproduces what replaying every batch in order would: later
     /// batches win, and the uncommitted tail is not in `batches` at all.
+    /// Only these images are built.
     pub fn last_images(self) -> Vec<RecoveredImage> {
         let mut last = BTreeMap::new();
-        for img in self.batches.into_iter().flatten() {
+        for img in self.batches.iter().flatten() {
             last.insert(img.page, img);
         }
-        last.into_values().collect()
+        last.into_values()
+            .map(|img| RecoveredImage {
+                page: img.page,
+                lsn: img.lsn,
+                image: self.image(img),
+            })
+            .collect()
     }
 }
 
@@ -395,8 +424,11 @@ impl Wal {
             ));
         }
 
-        let mut recovery = WalRecovery::default();
-        let mut pending: Vec<RecoveredImage> = Vec::new();
+        let mut recovery = WalRecovery {
+            page_size,
+            ..WalRecovery::default()
+        };
+        let mut pending: Vec<LoggedImage> = Vec::new();
         let mut max_lsn = 0u64;
         let mut offset = HEADER_LEN as usize;
         let mut valid_end = offset;
@@ -407,12 +439,11 @@ impl Wal {
             max_lsn = max_lsn.max(record.lsn);
             match record.kind {
                 RecordKind::PageImage => {
-                    let mut image = vec![0u8; page_size];
-                    image[..record.payload.len()].copy_from_slice(record.payload);
-                    pending.push(RecoveredImage {
+                    let at = offset + RECORD_HEADER_LEN;
+                    pending.push(LoggedImage {
                         page: PageId(record.page),
                         lsn: record.lsn,
-                        image,
+                        payload: at..at + record.payload.len(),
                     });
                 }
                 RecordKind::Commit => recovery.batches.push(std::mem::take(&mut pending)),
@@ -422,6 +453,7 @@ impl Wal {
         }
         recovery.torn_tail_bytes = (buf.len() - valid_end) as u64;
         recovery.uncommitted_records = pending.len() as u64;
+        recovery.log = buf;
         let group = GroupCommit::new(file.try_clone()?);
         Ok((
             Wal {
@@ -604,8 +636,8 @@ mod tests {
         assert_eq!(rec.uncommitted_records, 0);
         assert_eq!(rec.batches[0].len(), 2);
         assert_eq!(rec.batches[0][0].page, PageId(3));
-        assert_eq!(rec.batches[0][0].image, image(1));
-        assert_eq!(rec.batches[1][0].image, image(9));
+        assert_eq!(rec.image(&rec.batches[0][0]), image(1));
+        assert_eq!(rec.image(&rec.batches[1][0]), image(9));
         // LSNs continue past what was scanned.
         assert!(wal.next_lsn() > rec.batches[1][0].lsn);
     }
@@ -829,7 +861,7 @@ mod tests {
         wal.commit().unwrap();
         drop(wal);
         let (_, rec) = Wal::recover(&path, PS).unwrap();
-        let images: Vec<_> = rec.batches[0].iter().map(|i| i.image.clone()).collect();
+        let images: Vec<_> = rec.batches[0].iter().map(|i| rec.image(i)).collect();
         let expected: Vec<_> = [0, 1, 7, PS - 1, PS]
             .into_iter()
             .map(|zeros| zero_tailed(3, zeros))
@@ -852,7 +884,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let (mut wal, rec) = Wal::recover(&path, PS).unwrap();
         assert_eq!(rec.batches.len(), 1);
-        assert_eq!(rec.batches[0][0].image, image(1));
+        assert_eq!(rec.image(&rec.batches[0][0]), image(1));
         assert_eq!(rec.torn_tail_bytes, 0);
         wal.reset().unwrap();
         let header = std::fs::read(&path).unwrap();

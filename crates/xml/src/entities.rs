@@ -1,5 +1,6 @@
 //! Predefined XML entities and numeric character references.
 
+use crate::serializer::TextSink;
 use std::fmt;
 
 /// Error produced when an entity reference cannot be resolved.
@@ -72,29 +73,45 @@ pub fn decode(input: &str) -> Result<String, EntityError> {
 }
 
 /// Escapes text content for serialization (`&`, `<`, `>`).
-pub fn escape_text(input: &str, out: &mut String) {
-    for c in input.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            _ => out.push(c),
-        }
-    }
+pub fn escape_text<S: TextSink + ?Sized>(input: &str, out: &mut S) {
+    escape_runs(input, out, |b| match b {
+        b'&' => Some("&amp;"),
+        b'<' => Some("&lt;"),
+        b'>' => Some("&gt;"),
+        _ => None,
+    });
 }
 
 /// Escapes an attribute value for serialization in double quotes.
-pub fn escape_attribute(input: &str, out: &mut String) {
-    for c in input.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '"' => out.push_str("&quot;"),
-            '\n' => out.push_str("&#10;"),
-            '\t' => out.push_str("&#9;"),
-            _ => out.push(c),
+pub fn escape_attribute<S: TextSink + ?Sized>(input: &str, out: &mut S) {
+    escape_runs(input, out, |b| match b {
+        b'&' => Some("&amp;"),
+        b'<' => Some("&lt;"),
+        b'"' => Some("&quot;"),
+        b'\n' => Some("&#10;"),
+        b'\t' => Some("&#9;"),
+        _ => None,
+    });
+}
+
+/// Copies `input` to `out` one unescaped run at a time, replacing each
+/// byte `escape` maps. Every escaped character is ASCII, and no byte of a
+/// multi-byte UTF-8 sequence is, so each run boundary is a char boundary.
+#[inline]
+fn escape_runs<S: TextSink + ?Sized>(
+    input: &str,
+    out: &mut S,
+    escape: impl Fn(u8) -> Option<&'static str>,
+) {
+    let mut run = 0;
+    for (i, &b) in input.as_bytes().iter().enumerate() {
+        if let Some(entity) = escape(b) {
+            out.push_str(&input[run..i]);
+            out.push_str(entity);
+            run = i + 1;
         }
     }
+    out.push_str(&input[run..]);
 }
 
 #[cfg(test)]

@@ -28,5 +28,6 @@ pub mod serializer;
 pub use parser::{parse_document, parse_fragment, ParseError, ParseOptions, PullParser};
 pub use schema::{Annotator, Schema, SchemaError, SchemaRule};
 pub use serializer::{
-    serialize, serialize_into, SerializeOptions, StreamSerializer, TokenWriteError, TokenWriter,
+    serialize, serialize_into, SerializeOptions, StreamSerializer, TextSink, TokenWriteError,
+    TokenWriter,
 };

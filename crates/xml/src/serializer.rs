@@ -74,29 +74,58 @@ impl fmt::Display for SerializeError {
 
 impl std::error::Error for SerializeError {}
 
+/// Where serialized text goes: a `String`, or raw bytes such as a wire
+/// frame's payload, which the text is then appended to in place.
+pub trait TextSink {
+    /// Appends `s`.
+    fn push_str(&mut self, s: &str);
+}
+
+impl TextSink for String {
+    #[inline]
+    fn push_str(&mut self, s: &str) {
+        String::push_str(self, s);
+    }
+}
+
+impl TextSink for Vec<u8> {
+    #[inline]
+    fn push_str(&mut self, s: &str) {
+        self.extend_from_slice(s.as_bytes());
+    }
+}
+
+/// One open construct. Element names live in the serializer's name arena;
+/// a frame holds the byte offset where its name starts.
 enum Frame {
     Document,
     /// Element whose start tag is still open (`<name attr=".."` so far).
     OpenTag {
-        name: String,
+        name: usize,
     },
     /// Element with content emitted. `structured_last` tracks whether the
     /// most recent child was an element/comment/PI (pretty printing indents
     /// the close tag only then, keeping `<e>text</e>` on one line).
     WithContent {
-        name: String,
+        name: usize,
         structured_last: bool,
     },
     Attribute,
 }
 
-/// Incremental, stateful serializer: feed tokens one at a time, collect
-/// the text they produce. Powers [`serialize`]/[`serialize_into`] and the
-/// [`TokenWriter`] streaming sink (symmetric with the store's bulk loader).
+/// Incremental, stateful serializer: feed tokens one at a time and it
+/// appends their text to a [`TextSink`] of the caller's. Powers
+/// [`serialize`]/[`serialize_into`] and the [`TokenWriter`] streaming sink
+/// (symmetric with the store's bulk loader). After
+/// [`StreamSerializer::finish_item`] it serializes the next item with the
+/// buffers it already holds.
 pub struct StreamSerializer {
     opts: SerializeOptions,
     stack: Vec<Frame>,
-    buf: String,
+    /// The open elements' lexical names, back to back; each element frame
+    /// holds its name's start offset, and closing it truncates there.
+    names: String,
+    declaration_pending: bool,
     emitted_any: bool,
     token_index: usize,
 }
@@ -105,46 +134,56 @@ impl StreamSerializer {
     /// Creates a serializer; the XML declaration (when configured) is
     /// emitted before the first token.
     pub fn new(opts: SerializeOptions) -> StreamSerializer {
-        let mut buf = String::new();
-        let mut emitted_any = false;
-        if opts.xml_declaration {
-            buf.push_str("<?xml version=\"1.0\" encoding=\"UTF-8\"?>");
-            if opts.indent.is_some() {
-                buf.push('\n');
-            }
-            emitted_any = true;
-        }
         StreamSerializer {
+            declaration_pending: opts.xml_declaration,
             opts,
             stack: Vec::new(),
-            buf,
-            emitted_any,
+            names: String::new(),
+            emitted_any: false,
             token_index: 0,
         }
     }
 
-    /// Serializes one token, returning the text it appended (including any
-    /// pending declaration before the first token).
-    pub fn write_token(&mut self, token: &Token) -> Result<&str, SerializeError> {
-        if self.token_index > 0 {
-            // The first call keeps the pre-buffered XML declaration.
-            self.buf.clear();
-        }
-        self.step(token)?;
-        self.token_index += 1;
-        if !self.buf.is_empty() {
+    /// Serializes one token, appending its text (and any pending
+    /// declaration before the first token) to `out`.
+    pub fn write_token_into<S: TextSink + ?Sized>(
+        &mut self,
+        token: &Token,
+        out: &mut S,
+    ) -> Result<(), SerializeError> {
+        if self.declaration_pending {
+            self.declaration_pending = false;
+            out.push_str("<?xml version=\"1.0\" encoding=\"UTF-8\"?>");
+            if self.opts.indent.is_some() {
+                out.push_str("\n");
+            }
             self.emitted_any = true;
         }
-        Ok(&self.buf)
+        self.step(token, out)?;
+        self.token_index += 1;
+        Ok(())
     }
 
-    /// Verifies that every begin token was closed.
-    pub fn finish(self) -> Result<(), SerializeError> {
-        if self.stack.is_empty() {
+    /// Verifies that every begin token was closed, and readies the
+    /// serializer for the next item (say, a query's next row) as if it
+    /// were new, keeping its buffers. It is ready even when this fails.
+    pub fn finish_item(&mut self) -> Result<(), SerializeError> {
+        let balanced = self.stack.is_empty();
+        self.stack.clear();
+        self.names.clear();
+        self.declaration_pending = self.opts.xml_declaration;
+        self.emitted_any = false;
+        self.token_index = 0;
+        if balanced {
             Ok(())
         } else {
             Err(SerializeError::Unclosed)
         }
+    }
+
+    /// Verifies that every begin token was closed.
+    pub fn finish(mut self) -> Result<(), SerializeError> {
+        self.finish_item()
     }
 
     fn element_depth(&self) -> usize {
@@ -155,14 +194,14 @@ impl StreamSerializer {
     }
 
     /// Finishes a pending start tag (`>` + state transition) before content.
-    fn close_start_tag(&mut self) {
-        if matches!(self.stack.last(), Some(Frame::OpenTag { .. })) {
-            self.buf.push('>');
-            if let Some(Frame::OpenTag { name }) = self.stack.pop() {
-                self.stack.push(Frame::WithContent {
+    fn close_start_tag<S: TextSink + ?Sized>(&mut self, out: &mut S) {
+        if let Some(frame) = self.stack.last_mut() {
+            if let Frame::OpenTag { name } = *frame {
+                out.push_str(">");
+                *frame = Frame::WithContent {
                     name,
                     structured_last: false,
-                });
+                };
             }
         }
     }
@@ -177,33 +216,42 @@ impl StreamSerializer {
     }
 
     /// Newline + indent before a structured child, when pretty printing.
-    fn break_before_child(&mut self) {
-        if self.opts.indent.is_some() {
-            if self.emitted_any || !self.buf.is_empty() {
-                self.buf.push('\n');
+    fn break_before_child<S: TextSink + ?Sized>(&self, out: &mut S) {
+        if let Some(indent) = self.opts.indent.as_deref() {
+            if self.emitted_any {
+                out.push_str("\n");
             }
-            let depth = self.element_depth();
-            let ind = self.opts.indent.clone().unwrap_or_default();
-            for _ in 0..depth {
-                self.buf.push_str(&ind);
+            for _ in 0..self.element_depth() {
+                out.push_str(indent);
             }
         }
     }
 
     /// Newline + indent before a close tag whose children were structured.
-    fn break_before_close(&mut self) {
-        if self.opts.indent.is_some() {
-            self.buf.push('\n');
-            let depth = self.element_depth();
-            let ind = self.opts.indent.clone().unwrap_or_default();
-            for _ in 0..depth {
-                self.buf.push_str(&ind);
+    fn break_before_close<S: TextSink + ?Sized>(&self, out: &mut S) {
+        if let Some(indent) = self.opts.indent.as_deref() {
+            out.push_str("\n");
+            for _ in 0..self.element_depth() {
+                out.push_str(indent);
             }
         }
     }
 
-    /// The per-token state machine (the former `serialize_into` loop body).
-    fn step(&mut self, tok: &Token) -> Result<(), SerializeError> {
+    /// Writes `</name>` for the element whose name starts at `name` in the
+    /// arena, then drops that name.
+    fn close_tag<S: TextSink + ?Sized>(&mut self, name: usize, out: &mut S) {
+        out.push_str("</");
+        out.push_str(&self.names[name..]);
+        out.push_str(">");
+        self.names.truncate(name);
+    }
+
+    /// The per-token state machine.
+    fn step<S: TextSink + ?Sized>(
+        &mut self,
+        tok: &Token,
+        out: &mut S,
+    ) -> Result<(), SerializeError> {
         let i = self.token_index;
         match tok {
             Token::BeginDocument => self.stack.push(Frame::Document),
@@ -212,27 +260,27 @@ impl StreamSerializer {
                 _ => return Err(SerializeError::Underflow(i)),
             },
             Token::BeginElement { name, .. } => {
-                self.close_start_tag();
+                self.close_start_tag(out);
                 if matches!(self.stack.last(), Some(Frame::Attribute)) {
                     return Err(SerializeError::MisplacedAttribute(i));
                 }
-                self.break_before_child();
+                self.break_before_child(out);
                 self.note_structured_child(true);
-                self.buf.push('<');
-                name.write_lexical(&mut self.buf);
-                self.stack.push(Frame::OpenTag {
-                    name: name.to_lexical(),
-                });
+                let start = self.names.len();
+                name.write_lexical(&mut self.names);
+                out.push_str("<");
+                out.push_str(&self.names[start..]);
+                self.stack.push(Frame::OpenTag { name: start });
+                self.emitted_any = true;
             }
             Token::EndElement => match self.stack.pop() {
                 Some(Frame::OpenTag { name }) => {
                     if self.opts.self_close_empty {
-                        self.buf.push_str("/>");
+                        out.push_str("/>");
+                        self.names.truncate(name);
                     } else {
-                        self.buf.push('>');
-                        self.buf.push_str("</");
-                        self.buf.push_str(&name);
-                        self.buf.push('>');
+                        out.push_str(">");
+                        self.close_tag(name, out);
                     }
                 }
                 Some(Frame::WithContent {
@@ -240,17 +288,15 @@ impl StreamSerializer {
                     structured_last,
                 }) => {
                     if structured_last {
-                        self.break_before_close();
+                        self.break_before_close(out);
                     }
-                    self.buf.push_str("</");
-                    self.buf.push_str(&name);
-                    self.buf.push('>');
+                    self.close_tag(name, out);
                 }
                 _ => return Err(SerializeError::Underflow(i)),
             },
             Token::BeginAttribute { name, value, .. } => {
                 match self.stack.last() {
-                    Some(Frame::OpenTag { .. }) => self.buf.push(' '),
+                    Some(Frame::OpenTag { .. }) => out.push_str(" "),
                     // An attribute item at the top of a result sequence (an
                     // XPath ending in `/@id`) renders bare: `name="value"`.
                     None => {}
@@ -259,11 +305,16 @@ impl StreamSerializer {
                     }
                     _ => return Err(SerializeError::MisplacedAttribute(i)),
                 }
-                name.write_lexical(&mut self.buf);
-                self.buf.push_str("=\"");
-                escape_attribute(value, &mut self.buf);
-                self.buf.push('"');
+                if let Some(prefix) = name.prefix() {
+                    out.push_str(prefix);
+                    out.push_str(":");
+                }
+                out.push_str(name.local_part());
+                out.push_str("=\"");
+                escape_attribute(value, out);
+                out.push_str("\"");
                 self.stack.push(Frame::Attribute);
+                self.emitted_any = true;
             }
             Token::EndAttribute => match self.stack.pop() {
                 Some(Frame::Attribute) => {}
@@ -273,35 +324,38 @@ impl StreamSerializer {
                 if matches!(self.stack.last(), Some(Frame::Attribute)) {
                     return Err(SerializeError::MisplacedAttribute(i));
                 }
-                self.close_start_tag();
+                self.close_start_tag(out);
                 self.note_structured_child(false);
-                escape_text(value, &mut self.buf);
+                escape_text(value, out);
+                self.emitted_any |= !value.is_empty();
             }
             Token::Comment { value } => {
                 if matches!(self.stack.last(), Some(Frame::Attribute)) {
                     return Err(SerializeError::MisplacedAttribute(i));
                 }
-                self.close_start_tag();
-                self.break_before_child();
+                self.close_start_tag(out);
+                self.break_before_child(out);
                 self.note_structured_child(true);
-                self.buf.push_str("<!--");
-                self.buf.push_str(value);
-                self.buf.push_str("-->");
+                out.push_str("<!--");
+                out.push_str(value);
+                out.push_str("-->");
+                self.emitted_any = true;
             }
             Token::ProcessingInstruction { target, value } => {
                 if matches!(self.stack.last(), Some(Frame::Attribute)) {
                     return Err(SerializeError::MisplacedAttribute(i));
                 }
-                self.close_start_tag();
-                self.break_before_child();
+                self.close_start_tag(out);
+                self.break_before_child(out);
                 self.note_structured_child(true);
-                self.buf.push_str("<?");
-                self.buf.push_str(target);
+                out.push_str("<?");
+                out.push_str(target);
                 if !value.is_empty() {
-                    self.buf.push(' ');
-                    self.buf.push_str(value);
+                    out.push_str(" ");
+                    out.push_str(value);
                 }
-                self.buf.push_str("?>");
+                out.push_str("?>");
+                self.emitted_any = true;
             }
         }
         Ok(())
@@ -312,6 +366,8 @@ impl StreamSerializer {
 /// [`std::io::Write`] — the output-side twin of the store's bulk loader.
 pub struct TokenWriter<W: std::io::Write> {
     inner: StreamSerializer,
+    /// One token's text on its way to `out`.
+    text: String,
     out: W,
 }
 
@@ -352,14 +408,16 @@ impl<W: std::io::Write> TokenWriter<W> {
     pub fn new(out: W, opts: SerializeOptions) -> TokenWriter<W> {
         TokenWriter {
             inner: StreamSerializer::new(opts),
+            text: String::new(),
             out,
         }
     }
 
     /// Serializes one token into the sink.
     pub fn write(&mut self, token: &Token) -> Result<(), TokenWriteError> {
-        let text = self.inner.write_token(token)?;
-        self.out.write_all(text.as_bytes())?;
+        self.text.clear();
+        self.inner.write_token_into(token, &mut self.text)?;
+        self.out.write_all(self.text.as_bytes())?;
         Ok(())
     }
 
@@ -379,7 +437,7 @@ pub fn serialize_into(
 ) -> Result<(), SerializeError> {
     let mut ser = StreamSerializer::new(opts.clone());
     for tok in tokens {
-        out.push_str(ser.write_token(tok)?);
+        ser.write_token_into(tok, out)?;
     }
     ser.finish()
 }
@@ -395,6 +453,7 @@ pub fn serialize(tokens: &[Token], opts: &SerializeOptions) -> Result<String, Se
 mod tests {
     use super::*;
     use crate::parser::{parse_document, parse_fragment, ParseOptions};
+    use axs_xdm::QName;
 
     fn compact(tokens: &[Token]) -> String {
         serialize(tokens, &SerializeOptions::default()).unwrap()
@@ -626,10 +685,93 @@ mod tests {
             let mut ser = StreamSerializer::new(opts.clone());
             let mut streamed = String::new();
             for t in &tokens {
-                streamed.push_str(ser.write_token(t).unwrap());
+                ser.write_token_into(t, &mut streamed).unwrap();
             }
             ser.finish().unwrap();
             assert_eq!(streamed, batch);
+        }
+    }
+
+    #[test]
+    fn deep_prefixed_nesting_closes_the_right_tags() {
+        // 64 levels, each a prefixed name of a different length so a wrong
+        // arena offset shows up as a mangled tag; every level also has an
+        // empty prefixed sibling after it.
+        let name = |i: usize| {
+            QName::prefixed(
+                format!("p{}", i % 3),
+                "e".repeat(1 + i % 5) + &i.to_string(),
+            )
+        };
+        let depth = 64;
+        let mut tokens = Vec::new();
+        for i in 0..depth {
+            tokens.push(Token::begin_element(name(i)));
+        }
+        tokens.push(Token::text("leaf"));
+        for i in (0..depth).rev() {
+            tokens.push(Token::EndElement);
+            tokens.push(Token::begin_element(name(i + depth)));
+            tokens.push(Token::EndElement);
+        }
+        for self_close_empty in [true, false] {
+            let mut want = String::new();
+            for i in 0..depth {
+                want += &format!("<{}>", name(i).to_lexical());
+            }
+            want += "leaf";
+            for i in (0..depth).rev() {
+                let sibling = name(i + depth).to_lexical();
+                want += &format!("</{}>", name(i).to_lexical());
+                want += &if self_close_empty {
+                    format!("<{sibling}/>")
+                } else {
+                    format!("<{sibling}></{sibling}>")
+                };
+            }
+            let opts = SerializeOptions {
+                self_close_empty,
+                ..SerializeOptions::default()
+            };
+            assert_eq!(serialize(&tokens, &opts).unwrap(), want);
+            let back = parse_fragment(&want, ParseOptions::default()).unwrap();
+            assert_eq!(back, tokens, "self_close_empty: {self_close_empty}");
+        }
+    }
+
+    #[test]
+    fn a_reused_serializer_writes_each_item_like_a_fresh_one() {
+        let items = [
+            parse_fragment(r#"<x:a k="1"><b>t&amp;</b></x:a>"#, ParseOptions::default()).unwrap(),
+            parse_fragment("<c/>", ParseOptions::default()).unwrap(),
+            vec![Token::begin_attribute("id", "q\"")],
+        ];
+        for opts in [
+            SerializeOptions::default(),
+            SerializeOptions::pretty(),
+            SerializeOptions {
+                xml_declaration: true,
+                ..SerializeOptions::default()
+            },
+        ] {
+            let mut ser = StreamSerializer::new(opts.clone());
+            for item in &items[..2] {
+                let mut bytes = b"head".to_vec();
+                for t in item {
+                    ser.write_token_into(t, &mut bytes).unwrap();
+                }
+                ser.finish_item().unwrap();
+                assert_eq!(bytes[4..], *serialize(item, &opts).unwrap().as_bytes());
+            }
+            // An unclosed item is reported, and the next one is unharmed.
+            ser.write_token_into(&items[2][0], &mut Vec::new()).unwrap();
+            assert_eq!(ser.finish_item(), Err(SerializeError::Unclosed));
+            let mut out = String::new();
+            for t in &items[1] {
+                ser.write_token_into(t, &mut out).unwrap();
+            }
+            ser.finish_item().unwrap();
+            assert_eq!(out, serialize(&items[1], &opts).unwrap());
         }
     }
 

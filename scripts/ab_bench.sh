@@ -18,7 +18,7 @@
 # removes them.
 #
 # Environment: SEED (default 2005), METRICS (default
-# "read_ops_s read_p50_us"; end-to-end metric names).
+# "read_ops_s read_p50_us query_p50_us scan_mb_s"; end-to-end metric names).
 set -euo pipefail
 
 if [[ $# -lt 1 ]]; then
@@ -31,7 +31,7 @@ SECONDS_PER_RUN="${3:-30}"
 shift $(( $# < 3 ? $# : 3 ))
 WORKLOADS=("$@")
 SEED="${SEED:-2005}"
-METRICS="${METRICS:-read_ops_s read_p50_us}"
+METRICS="${METRICS:-read_ops_s read_p50_us query_p50_us scan_mb_s}"
 
 ROOT="$(git rev-parse --show-toplevel)"
 BUILD="$ROOT/.bench_build"
