@@ -43,7 +43,7 @@
 //! level) are adopted as the `default` store in place, so pre-catalog data
 //! directories keep working unchanged.
 
-use axs_core::{ConcurrentStore, StoreBuilder, StoreError, XmlStore};
+use axs_core::{ConcurrentStore, StatRow, StoreBuilder, StoreError, XmlStore};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
@@ -199,19 +199,21 @@ pub struct StoreInfo {
     pub open: bool,
 }
 
-/// Catalog activity counters (exposed as `cat.*` in the server's stats).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct CatalogStats {
-    /// Stores opened lazily on first access (each ran crash recovery).
-    pub lazy_opens: u64,
-    /// Stores flushed and closed to stay under the open cap.
-    pub evictions: u64,
-    /// Stores created.
-    pub creates: u64,
-    /// Stores dropped.
-    pub drops: u64,
-    /// Crash leftovers (`.tmp.`/`.drop.` directories) swept at boot.
-    pub orphans_swept: u64,
+axs_core::series! {
+    /// Catalog activity counters (the `cat.*` stats).
+    #[derive(Debug, Default)]
+    pub struct CatalogCounters => CatalogStats {
+        /// Stores opened lazily on first access (each ran crash recovery).
+        lazy_opens: Counter "cat.lazy_opens",
+        /// Stores flushed and closed to stay under the open cap.
+        evictions: Counter "cat.evictions",
+        /// Stores created.
+        creates: Counter "cat.creates",
+        /// Stores dropped.
+        drops: Counter "cat.drops",
+        /// Crash leftovers (.tmp. and .drop. directories) swept at boot.
+        orphans_swept: Counter "cat.orphans_swept",
+    }
 }
 
 /// How the catalog is backed.
@@ -236,7 +238,7 @@ struct Inner {
     open: HashMap<u16, Arc<StoreSlot>>,
     /// LRU clock, bumped on every slot access.
     clock: u64,
-    stats: CatalogStats,
+    stats: CatalogCounters,
 }
 
 impl Inner {
@@ -277,7 +279,7 @@ impl Catalog {
             names: Vec::new(),
             open: HashMap::new(),
             clock: 0,
-            stats: CatalogStats::default(),
+            stats: CatalogCounters::default(),
         };
         // The default store is always id 0, registered before any scan so
         // the binding is stable across boots.
@@ -292,7 +294,7 @@ impl Catalog {
             let name = entry.file_name().to_string_lossy().into_owned();
             if name.starts_with(TMP_PREFIX) || name.starts_with(DROP_PREFIX) {
                 std::fs::remove_dir_all(entry.path())?;
-                inner.stats.orphans_swept += 1;
+                inner.stats.orphans_swept.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
             if entry.file_type()?.is_dir() && valid_store_name(&name) && name != DEFAULT_STORE {
@@ -326,7 +328,7 @@ impl Catalog {
                 names: Vec::new(),
                 open: HashMap::new(),
                 clock: 0,
-                stats: CatalogStats::default(),
+                stats: CatalogCounters::default(),
             }),
         };
         {
@@ -352,7 +354,7 @@ impl Catalog {
             names: Vec::new(),
             open: HashMap::new(),
             clock: 0,
-            stats: CatalogStats::default(),
+            stats: CatalogCounters::default(),
         };
         let id = inner.mint(DEFAULT_STORE);
         inner
@@ -403,7 +405,7 @@ impl Catalog {
                 let slot = StoreSlot::new(name.to_string(), id, store);
                 slot.last_used.store(inner.clock, Ordering::Relaxed);
                 inner.open.insert(id, slot);
-                inner.stats.creates += 1;
+                inner.stats.creates.fetch_add(1, Ordering::Relaxed);
                 Ok(id)
             }
             Backing::Durable { root, .. } => {
@@ -425,7 +427,7 @@ impl Catalog {
                 std::fs::rename(&tmp, &dest)?;
                 sync_dir(&stores);
                 let id = inner.mint(name);
-                inner.stats.creates += 1;
+                inner.stats.creates.fetch_add(1, Ordering::Relaxed);
                 Ok(id)
             }
         }
@@ -460,7 +462,7 @@ impl Catalog {
                 std::fs::remove_dir_all(&grave)?;
             }
         }
-        inner.stats.drops += 1;
+        inner.stats.drops.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -526,7 +528,7 @@ impl Catalog {
         let slot = StoreSlot::new(name, id, store);
         slot.last_used.store(stamp, Ordering::Relaxed);
         inner.open.insert(id, slot.clone());
-        inner.stats.lazy_opens += 1;
+        inner.stats.lazy_opens.fetch_add(1, Ordering::Relaxed);
         Ok(slot)
     }
 
@@ -547,7 +549,7 @@ impl Catalog {
             };
             let slot = inner.open.remove(&id).expect("victim is resident");
             slot.store.with_write(XmlStore::flush)?;
-            inner.stats.evictions += 1;
+            inner.stats.evictions.fetch_add(1, Ordering::Relaxed);
         }
         Ok(())
     }
@@ -591,7 +593,20 @@ impl Catalog {
     /// Counters plus the live/resident gauges.
     pub fn stats(&self) -> (CatalogStats, usize, usize) {
         let inner = self.inner.lock();
-        (inner.stats, inner.ids.len(), inner.open.len())
+        (inner.stats.snapshot(), inner.ids.len(), inner.open.len())
+    }
+
+    /// The `cat.*` `Stats` rows: the live/resident gauges, then the
+    /// counters.
+    pub fn stat_rows(&self, out: &mut Vec<StatRow>) {
+        let inner = self.inner.lock();
+        out.extend(axs_core::stat_rows![
+            /// Stores in the catalog.
+            Gauge "cat.stores" = inner.ids.len() as u64,
+            /// Stores open (resident).
+            Gauge "cat.open_stores" = inner.open.len() as u64,
+        ]);
+        inner.stats.rows(out);
     }
 }
 

@@ -57,11 +57,12 @@ pub fn render_dashboard(
         "  {:<12} {:>10} {:>8} {:>8} {:>8} {:>10}",
         "family", "count", "p50", "p90", "p99", "max"
     );
-    for family in ["point_read", "query", "scan", "write", "bulk", "control"] {
-        let count = get(cur, &format!("rq.{family}.count"));
-        if count == 0 {
-            continue;
-        }
+    // The families the server reports, in its order (`rq.<family>.count`).
+    let families = cur.iter().filter_map(|e| {
+        let family = e.name.strip_prefix("rq.")?.strip_suffix(".count")?;
+        (!family.starts_with("store.") && e.value > 0).then_some((family, e.value))
+    });
+    for (family, count) in families {
         let _ = writeln!(
             out,
             "  {:<12} {:>10} {:>8} {:>8} {:>8} {:>10}",
@@ -132,7 +133,7 @@ pub fn render_dashboard(
     let _ = writeln!(
         out,
         "mvcc: epoch {} ({} live, oldest pinned {})   pins active {} (total {})   snapshot age p50 {}us / p99 {}us",
-        get(cur, "mvcc.current_epoch"),
+        get(cur, "mvcc.publishes"),
         get(cur, "mvcc.epochs_live"),
         get(cur, "mvcc.oldest_pinned"),
         get(cur, "mvcc.pins_active"),
@@ -207,6 +208,7 @@ mod tests {
             e("rq.point_read.p90_us", 20),
             e("rq.point_read.p99_us", 40),
             e("rq.point_read.max_us", 77),
+            e("rq.control.count", 0),
             e("obs.partial_hit_ratio_pct", 93),
             e("wal.group_commits", 10),
             e("wal.group_syncs", 4),
@@ -245,7 +247,7 @@ mod tests {
     #[test]
     fn dashboard_shows_mvcc_and_adaptive_panels() {
         let cur = vec![
-            e("mvcc.current_epoch", 17),
+            e("mvcc.publishes", 17),
             e("mvcc.epochs_live", 3),
             e("mvcc.oldest_pinned", 15),
             e("mvcc.pins_active", 2),

@@ -166,6 +166,43 @@ impl OpCode {
             _ => return None,
         })
     }
+
+    /// The opcode's name, as in log lines (`"InsertLast"`).
+    pub fn name(self) -> &'static str {
+        use OpCode::*;
+        match self {
+            Ping => "Ping",
+            BulkLoad => "BulkLoad",
+            Query => "Query",
+            Flwor => "Flwor",
+            ReadNode => "ReadNode",
+            Value => "Value",
+            Children => "Children",
+            Parent => "Parent",
+            InsertFirst => "InsertFirst",
+            InsertLast => "InsertLast",
+            InsertBefore => "InsertBefore",
+            InsertAfter => "InsertAfter",
+            Delete => "Delete",
+            Replace => "Replace",
+            ReadAll => "ReadAll",
+            Stats => "Stats",
+            Report => "Report",
+            Flush => "Flush",
+            Verify => "Verify",
+            Compact => "Compact",
+            Ranges => "Ranges",
+            Sleep => "Sleep",
+            Shutdown => "Shutdown",
+            Metrics => "Metrics",
+            CreateStore => "CreateStore",
+            DropStore => "DropStore",
+            ListStores => "ListStores",
+            UseStore => "UseStore",
+            Explain => "Explain",
+            DumpRecorder => "DumpRecorder",
+        }
+    }
 }
 
 /// Frame status byte.

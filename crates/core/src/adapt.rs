@@ -101,21 +101,23 @@ impl AdaptEvent {
     }
 }
 
-/// Counter snapshot — the `adapt.*` stats.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AdaptCounts {
-    /// Partial-index admissions.
-    pub admits: u64,
-    /// LRU victims (admission pressure + capacity shrinks).
-    pub evictions: u64,
-    /// Positions not memoized (index disabled).
-    pub skips: u64,
-    /// Window decisions that grew the partial capacity.
-    pub grows: u64,
-    /// Window decisions that shrank the partial capacity.
-    pub shrinks: u64,
-    /// Window decisions that held the tuning.
-    pub holds: u64,
+axs_obs::series! {
+    /// The always-on decision counters — the `adapt.*` stats.
+    #[derive(Debug, Default)]
+    pub struct AdaptCounters by AdaptEventKind {
+        /// Partial-index admissions.
+        admits: Counter "adapt.admits" for AdaptEventKind::Admit,
+        /// LRU victims (admission pressure + capacity shrinks).
+        evictions: Counter "adapt.evictions" for AdaptEventKind::Evict,
+        /// Positions not memoized (index disabled).
+        skips: Counter "adapt.skips" for AdaptEventKind::Skip,
+        /// Window decisions that grew the partial capacity.
+        grows: Counter "adapt.grows" for AdaptEventKind::GrowPartial,
+        /// Window decisions that shrank the partial capacity.
+        shrinks: Counter "adapt.shrinks" for AdaptEventKind::ShrinkPartial,
+        /// Window decisions that held the tuning.
+        holds: Counter "adapt.holds" for AdaptEventKind::Hold,
+    }
 }
 
 /// The per-store decision log: always-on counters plus a bounded,
@@ -123,12 +125,8 @@ pub struct AdaptCounts {
 pub struct AdaptLog {
     ring: Mutex<VecDeque<AdaptEvent>>,
     seq: AtomicU64,
-    admits: AtomicU64,
-    evictions: AtomicU64,
-    skips: AtomicU64,
-    grows: AtomicU64,
-    shrinks: AtomicU64,
-    holds: AtomicU64,
+    /// The per-kind decision counters.
+    pub counts: AdaptCounters,
     started: Instant,
 }
 
@@ -138,31 +136,15 @@ impl AdaptLog {
         AdaptLog {
             ring: Mutex::new(VecDeque::with_capacity(ADAPT_LOG_CAPACITY)),
             seq: AtomicU64::new(0),
-            admits: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            skips: AtomicU64::new(0),
-            grows: AtomicU64::new(0),
-            shrinks: AtomicU64::new(0),
-            holds: AtomicU64::new(0),
+            counts: AdaptCounters::default(),
             started: Instant::now(),
-        }
-    }
-
-    fn counter(&self, kind: AdaptEventKind) -> &AtomicU64 {
-        match kind {
-            AdaptEventKind::Admit => &self.admits,
-            AdaptEventKind::Evict => &self.evictions,
-            AdaptEventKind::Skip => &self.skips,
-            AdaptEventKind::GrowPartial => &self.grows,
-            AdaptEventKind::ShrinkPartial => &self.shrinks,
-            AdaptEventKind::Hold => &self.holds,
         }
     }
 
     /// Records one decision. The counter always bumps; the ring entry is
     /// only written while a trace is open (see the module docs).
     pub fn record(&self, kind: AdaptEventKind, node: u64, a: u64, b: u64, reason: &'static str) {
-        self.counter(kind).fetch_add(1, Ordering::Relaxed);
+        self.counts.observe(kind, 1);
         if !axs_obs::enabled() {
             return;
         }
@@ -200,18 +182,6 @@ impl AdaptLog {
     pub fn last_seq(&self) -> u64 {
         self.seq.load(Ordering::Relaxed)
     }
-
-    /// Snapshot of the always-on counters.
-    pub fn counts(&self) -> AdaptCounts {
-        AdaptCounts {
-            admits: self.admits.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            skips: self.skips.load(Ordering::Relaxed),
-            grows: self.grows.load(Ordering::Relaxed),
-            shrinks: self.shrinks.load(Ordering::Relaxed),
-            holds: self.holds.load(Ordering::Relaxed),
-        }
-    }
 }
 
 impl Default for AdaptLog {
@@ -230,9 +200,11 @@ mod tests {
         let log = AdaptLog::new();
         log.record(AdaptEventKind::Admit, 1, 1, 8, "memoized-lookup");
         log.record(AdaptEventKind::Skip, 2, 0, 0, "index-disabled");
-        let c = log.counts();
-        assert_eq!(c.admits, 1);
-        assert_eq!(c.skips, 1);
+        let mut rows = Vec::new();
+        log.counts.rows(&mut rows);
+        let get = |name| rows.iter().find(|r| r.name == name).unwrap().value;
+        assert_eq!(get("adapt.admits"), 1);
+        assert_eq!(get("adapt.skips"), 1);
         assert!(log.recent(16).is_empty(), "ring stays empty when gated off");
         assert_eq!(log.last_seq(), 0);
     }

@@ -47,8 +47,9 @@ pub mod store;
 pub mod table;
 pub mod view;
 
-pub use adapt::{AdaptCounts, AdaptEvent, AdaptEventKind, AdaptLog, ADAPT_LOG_CAPACITY};
-pub use axs_storage::{CommitTicket, GroupCommitStats, GC_HISTOGRAM_BOUNDS, GC_HISTOGRAM_BUCKETS};
+pub use adapt::{AdaptCounters, AdaptEvent, AdaptEventKind, AdaptLog, ADAPT_LOG_CAPACITY};
+pub use axs_obs::{series, stat_rows, StatRow};
+pub use axs_storage::{CommitTicket, GroupCommitStats};
 pub use bulkload::BulkLoader;
 pub use cursor::{StoreCursor, ViewCursor};
 pub use error::StoreError;

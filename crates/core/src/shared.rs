@@ -147,16 +147,19 @@ mod tests {
             }
         });
 
-        let (children, gc) = store.with_read(|s| {
+        let (children, rows) = store.with_read(|s| {
             s.check_invariants().unwrap();
-            (
-                count_w(&s.read_all().unwrap()),
-                s.group_commit_stats().unwrap(),
-            )
+            let mut rows = Vec::new();
+            s.stat_rows(&mut rows);
+            (count_w(&s.read_all().unwrap()), rows)
         });
+        let sum = |prefix| -> u64 {
+            let rows = rows.iter().filter(|r| r.name.starts_with(prefix));
+            rows.map(|r| r.value).sum()
+        };
         assert_eq!(children, 40);
-        assert_eq!(gc.commits, 41);
-        assert_eq!(gc.batches.iter().sum::<u64>(), gc.syncs);
+        assert_eq!(sum("wal.group_commits"), 41);
+        assert_eq!(sum("wal.group_batch_"), sum("wal.group_syncs"));
         drop(store);
 
         // Nothing was flushed: recovery alone must reproduce all 40 writes.

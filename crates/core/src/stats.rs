@@ -15,126 +15,49 @@ pub enum LookupPath {
     RangeScan,
 }
 
-/// Monotonic counters of store activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StoreStats {
-    /// Fragments inserted (any of the four insert operations or bulk).
-    pub inserts: u64,
-    /// Nodes deleted.
-    pub deletes: u64,
-    /// Nodes replaced (`replaceNode` + `replaceContent`).
-    pub replaces: u64,
-    /// `read(id)` point reads.
-    pub node_reads: u64,
-    /// Full-store sequential reads.
-    pub full_scans: u64,
-    /// Tokens written by inserts.
-    pub tokens_inserted: u64,
-    /// Node lookups resolved by the partial index.
-    pub lookups_partial: u64,
-    /// Node lookups resolved by the full index.
-    pub lookups_full: u64,
-    /// Node lookups resolved via range-index + scan.
-    pub lookups_range_scan: u64,
-    /// Tokens visited while scanning inside ranges during lookups — the
-    /// price of coarse indexing the Partial Index exists to amortize.
-    pub tokens_scanned: u64,
-    /// Range splits performed by inserts/deletes.
-    pub range_splits: u64,
-    /// Ranges moved to a different block by overflow handling.
-    pub range_moves: u64,
-    /// Full-index entries rewritten due to splits/moves (the §4.1 insert
-    /// penalty, made visible).
-    pub full_index_rewrites: u64,
-    /// WAL records appended (page images + commits) by `flush()`.
-    pub wal_records: u64,
-    /// Recovery passes at `open()` that replayed committed WAL batches.
-    pub recoveries: u64,
-    /// Torn tails truncated during recovery (data file and WAL combined).
-    pub torn_tail_truncations: u64,
-    /// Transient I/O errors absorbed by the data pool's retry policy.
-    pub io_retries: u64,
-}
-
-impl StoreStats {
-    /// Total node lookups.
-    pub fn lookups(&self) -> u64 {
-        self.lookups_partial + self.lookups_full + self.lookups_range_scan
+axs_obs::series! {
+    /// The live store counters: every counter is an atomic so concurrent
+    /// sessions (server workers, pool readers) record activity through a
+    /// shared reference — no `&mut XmlStore` required.
+    /// [`SharedStats::snapshot`] produces the plain [`StoreStats`] value the
+    /// inspection API returns.
+    #[derive(Debug, Default)]
+    pub struct SharedStats => StoreStats by LookupPath {
+        /// Fragments inserted (any of the four insert operations or bulk).
+        inserts: Counter "store.inserts",
+        /// Nodes deleted.
+        deletes: Counter "store.deletes",
+        /// Nodes replaced (replaceNode + replaceContent).
+        replaces: Counter "store.replaces",
+        /// Point reads of one node.
+        node_reads: Counter "store.node_reads",
+        /// Full-store sequential reads.
+        full_scans: Counter "store.full_scans",
+        /// Tokens written by inserts.
+        tokens_inserted: Counter "store.tokens_inserted",
+        /// Node lookups resolved by the partial index.
+        lookups_partial: Counter "store.lookups_partial" for LookupPath::Partial,
+        /// Node lookups resolved by the full index.
+        lookups_full: Counter "store.lookups_full" for LookupPath::Full,
+        /// Node lookups resolved via range-index + scan.
+        lookups_range_scan: Counter "store.lookups_range_scan" for LookupPath::RangeScan,
+        /// Tokens visited while scanning inside ranges during lookups — the
+        /// price of coarse indexing the Partial Index exists to amortize.
+        tokens_scanned: Counter "store.tokens_scanned",
+        /// Range splits performed by inserts/deletes.
+        range_splits: Counter "store.range_splits",
+        /// Ranges moved to a different block by overflow handling.
+        range_moves: Counter "store.range_moves",
+        /// Full-index entries rewritten due to splits/moves (the paper's
+        /// insert penalty for full indexing, made visible).
+        full_index_rewrites: Counter "store.full_index_rewrites",
+        /// WAL records appended (page images + commits) by flush.
+        wal_records: Counter "store.wal_records",
+        /// Recovery passes at open that replayed committed WAL batches.
+        recoveries: Counter "store.recoveries",
+        /// Torn tails truncated during recovery (data file and WAL combined).
+        torn_tail_truncations: Counter "store.torn_tail_truncations",
     }
-
-    /// Records a lookup resolution.
-    pub fn record_lookup(&mut self, path: LookupPath) {
-        match path {
-            LookupPath::Partial => self.lookups_partial += 1,
-            LookupPath::Full => self.lookups_full += 1,
-            LookupPath::RangeScan => self.lookups_range_scan += 1,
-        }
-    }
-}
-
-macro_rules! shared_stats {
-    ($($(#[$doc:meta])* $field:ident),* $(,)?) => {
-        /// The live, thread-safe form of [`StoreStats`]: every counter is an
-        /// atomic so concurrent sessions (server workers, pool readers) can
-        /// record activity through a shared reference — no `&mut XmlStore`
-        /// required. [`SharedStats::snapshot`] produces the plain
-        /// [`StoreStats`] value the inspection API has always returned.
-        #[derive(Debug, Default)]
-        pub struct SharedStats {
-            $($(#[$doc])* pub $field: AtomicU64,)*
-        }
-
-        impl SharedStats {
-            /// A point-in-time copy of every counter.
-            pub fn snapshot(&self) -> StoreStats {
-                StoreStats {
-                    $($field: self.$field.load(Ordering::Relaxed),)*
-                }
-            }
-
-            /// Zeroes every counter.
-            pub fn reset(&self) {
-                $(self.$field.store(0, Ordering::Relaxed);)*
-            }
-        }
-    };
-}
-
-shared_stats! {
-    /// See [`StoreStats::inserts`].
-    inserts,
-    /// See [`StoreStats::deletes`].
-    deletes,
-    /// See [`StoreStats::replaces`].
-    replaces,
-    /// See [`StoreStats::node_reads`].
-    node_reads,
-    /// See [`StoreStats::full_scans`].
-    full_scans,
-    /// See [`StoreStats::tokens_inserted`].
-    tokens_inserted,
-    /// See [`StoreStats::lookups_partial`].
-    lookups_partial,
-    /// See [`StoreStats::lookups_full`].
-    lookups_full,
-    /// See [`StoreStats::lookups_range_scan`].
-    lookups_range_scan,
-    /// See [`StoreStats::tokens_scanned`].
-    tokens_scanned,
-    /// See [`StoreStats::range_splits`].
-    range_splits,
-    /// See [`StoreStats::range_moves`].
-    range_moves,
-    /// See [`StoreStats::full_index_rewrites`].
-    full_index_rewrites,
-    /// See [`StoreStats::wal_records`].
-    wal_records,
-    /// See [`StoreStats::recoveries`].
-    recoveries,
-    /// See [`StoreStats::torn_tail_truncations`].
-    torn_tail_truncations,
-    /// See [`StoreStats::io_retries`].
-    io_retries,
 }
 
 impl SharedStats {
@@ -147,16 +70,6 @@ impl SharedStats {
     pub fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
     }
-
-    /// Records a lookup resolution.
-    pub fn record_lookup(&self, path: LookupPath) {
-        let counter = match path {
-            LookupPath::Partial => &self.lookups_partial,
-            LookupPath::Full => &self.lookups_full,
-            LookupPath::RangeScan => &self.lookups_range_scan,
-        };
-        Self::bump(counter);
-    }
 }
 
 #[cfg(test)]
@@ -165,14 +78,17 @@ mod tests {
 
     #[test]
     fn lookup_recording() {
-        let mut s = StoreStats::default();
-        s.record_lookup(LookupPath::Partial);
-        s.record_lookup(LookupPath::Full);
-        s.record_lookup(LookupPath::RangeScan);
-        s.record_lookup(LookupPath::RangeScan);
-        assert_eq!(s.lookups(), 4);
-        assert_eq!(s.lookups_partial, 1);
-        assert_eq!(s.lookups_full, 1);
-        assert_eq!(s.lookups_range_scan, 2);
+        let s = SharedStats::default();
+        for path in [LookupPath::Partial, LookupPath::Full, LookupPath::RangeScan] {
+            s.observe(path, 1);
+        }
+        s.observe(LookupPath::RangeScan, 1);
+        let snap = s.snapshot();
+        let paths = (
+            snap.lookups_partial,
+            snap.lookups_full,
+            snap.lookups_range_scan,
+        );
+        assert_eq!(paths, (1, 1, 2));
     }
 }

@@ -14,6 +14,7 @@ use crate::range::{chop_fragment, RangeData, RangeHeader, RANGE_HEADER_LEN};
 use crate::stats::{LookupPath, SharedStats, StoreStats};
 use axs_idgen::MonotonicIds;
 use axs_index::{BTree, NodePosition, PartialIndex, RangeEntry, RangeIndex};
+use axs_obs::StatRow;
 use axs_storage::page::{get_u64, put_u64};
 use axs_storage::{
     block, checksum, BufferPool, CommitTicket, FilePageStore, GroupCommitStats, MemPageStore,
@@ -116,8 +117,8 @@ impl StoreBuilder {
     }
 
     /// How many transient (`Interrupted`) I/O errors the buffer pools
-    /// absorb per operation before surfacing them (see
-    /// `StoreStats::io_retries`).
+    /// absorb per operation before surfacing them (counted by the
+    /// `store.io_retries` stat).
     pub fn io_retries(mut self, max_retries: u32) -> Self {
         self.retry = RetryPolicy { max_retries };
         self
@@ -426,9 +427,7 @@ impl XmlStore {
 
     /// Activity counters.
     pub fn stats(&self) -> StoreStats {
-        let mut stats = self.stats.snapshot();
-        stats.io_retries = self.data_pool.stats().io_retries + self.index_pool.stats().io_retries;
-        stats
+        self.stats.snapshot()
     }
 
     /// The live atomic counters, shareable across threads (the server
@@ -450,6 +449,71 @@ impl XmlStore {
     /// Partial-index counters (zeroed struct when the policy has none).
     pub fn partial_stats(&self) -> axs_index::PartialIndexStats {
         self.partial.as_ref().map(|p| p.stats()).unwrap_or_default()
+    }
+
+    /// Every `Stats` row this store reports, in a stable order: the
+    /// `store.*` counters, the buffer pools, the partial index, group
+    /// commit (WAL-backed stores only), adaptive decisions and epochs.
+    pub fn stat_rows(&self, out: &mut Vec<StatRow>) {
+        self.stats.rows(out);
+        let (data, index) = (self.data_pool_stats(), self.index_pool_stats());
+        let partial = self.partial_stats();
+        out.extend(axs_obs::stat_rows![
+            /// Transient I/O errors absorbed by the buffer pools' retry policy.
+            Counter "store.io_retries" = data.io_retries + index.io_retries,
+            /// Ranges in the document.
+            Gauge "store.ranges" = self.range_count() as u64,
+            /// Data-page requests the buffer pool served.
+            Counter "pool.data.hits" = data.hits,
+            /// Data-page requests read from the file.
+            Counter "pool.data.misses" = data.misses,
+            /// Data-pool frames evicted to make room.
+            Counter "pool.data.evictions" = data.evictions,
+            /// Index-page requests the buffer pool served.
+            Counter "pool.index.hits" = index.hits,
+            /// Index-page requests read from the file.
+            Counter "pool.index.misses" = index.misses,
+            /// Index-pool frames evicted to make room.
+            Counter "pool.index.evictions" = index.evictions,
+            /// Partial-index lookups that found a live entry.
+            Counter "partial.hits" = partial.hits,
+            /// Partial-index lookups that found nothing.
+            Counter "partial.misses" = partial.misses,
+            /// Live partial-index entries.
+            Gauge "partial.entries" = self.partial_index().map_or(0, |p| p.len() as u64),
+        ]);
+        if let Some(wal) = &self.wal {
+            wal.group_commit().counters.rows(out);
+        }
+        self.decision_log.counts.rows(out);
+        let m = self.mvcc_stats();
+        let age = self.epochs.age_snapshot();
+        out.extend(axs_obs::stat_rows![
+            /// Adaptive decisions written to the trace-gated event ring.
+            Counter "adapt.log_seq" = self.decision_log.last_seq(),
+            /// Epochs still reachable: the current one plus pinned ones.
+            Gauge "mvcc.epochs_live" = m.epochs_live,
+            /// The oldest epoch a reader pins (the current one when none is).
+            Gauge "mvcc.oldest_pinned" = m.oldest_pinned,
+            /// Superseded epochs whose last pin is gone: memory reclaimed.
+            Counter "mvcc.retired_total" = m.retired_total,
+            /// Snapshot pins held by in-flight readers.
+            Gauge "mvcc.pins_active" = m.pins_active,
+            /// Snapshot pins taken.
+            Counter "mvcc.pins_total" = m.pins_total,
+            /// Age of the pinned snapshot at pin time, p50, µs.
+            Gauge "mvcc.snapshot_age_us_p50" = age.percentile(0.50),
+            /// Age of the pinned snapshot at pin time, p99, µs.
+            Gauge "mvcc.snapshot_age_us_p99" = age.percentile(0.99),
+            /// Age of the pinned snapshot at pin time, max, µs.
+            Gauge "mvcc.snapshot_age_us_max" = age.max,
+            /// Snapshot ranges decoded on first read instead of at publish.
+            Counter "mvcc.lazy_materialized" = m.lazy_materialized,
+            /// Snapshot node tables built for queries, at most one per epoch.
+            Counter "mvcc.tables_built" = m.tables_built,
+            /// Epochs published, which is the current epoch number.
+            Counter "mvcc.publishes" = m.current_epoch,
+        ]);
     }
 
     /// Zeroes all counters (store, pools, partial index).
@@ -1096,7 +1160,7 @@ impl XmlStore {
         // 1. Partial index (lazy).
         if let Some(p) = &self.partial {
             if let Some(pos) = p.get(id) {
-                self.stats.record_lookup(LookupPath::Partial);
+                self.stats.observe(LookupPath::Partial, 1);
                 axs_obs::probe(axs_obs::EventKind::LookupPartial, probe, id.0, 0);
                 return Ok((pos.begin_range, pos.begin_index, pos.begin_byte));
             }
@@ -1105,7 +1169,7 @@ impl XmlStore {
         // 2. Full index (eager baseline).
         if let Some(tree) = &self.full_index {
             if let Some(v) = tree.get(id.0)? {
-                self.stats.record_lookup(LookupPath::Full);
+                self.stats.observe(LookupPath::Full, 1);
                 axs_obs::probe(axs_obs::EventKind::LookupFull, probe, id.0, 0);
                 let range_id = u64::from_le_bytes(v[0..8].try_into().unwrap());
                 let idx = u32::from_le_bytes(v[8..12].try_into().unwrap());
@@ -1125,7 +1189,7 @@ impl XmlStore {
         let idx = data
             .index_of_id(id)
             .ok_or(StoreError::Corrupt("range index points at wrong range"))?;
-        self.stats.record_lookup(LookupPath::RangeScan);
+        self.stats.observe(LookupPath::RangeScan, 1);
         SharedStats::add(&self.stats.tokens_scanned, idx as u64 + 1);
         axs_obs::probe(
             axs_obs::EventKind::LookupRangeScan,
@@ -1143,7 +1207,7 @@ impl XmlStore {
         if let Some(p) = &self.partial {
             let probe = axs_obs::probe_start();
             if let Some(pos) = p.get(id) {
-                self.stats.record_lookup(LookupPath::Partial);
+                self.stats.observe(LookupPath::Partial, 1);
                 axs_obs::probe(axs_obs::EventKind::LookupPartial, probe, id.0, 0);
                 return Ok(pos);
             }

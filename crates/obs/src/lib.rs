@@ -10,6 +10,8 @@
 //!   WAL, rendered as a span tree for the slow log.
 //!   The open trace carries its server's [`trace::LayerMetrics`]
 //!   histograms, which every instrumentation point feeds.
+//! * [`series`] — the series registry: [`series!`] declares each counter,
+//!   gauge and histogram once, and its rows feed every exposition.
 //! * [`ring`] — a non-blocking most-recent-N buffer of finished traces.
 //! * [`recorder`] — the always-on flight recorder: a non-blocking ring of
 //!   compact request summaries fed on *every* request (tracing on or
@@ -23,6 +25,7 @@
 pub mod hist;
 pub mod recorder;
 pub mod ring;
+pub mod series;
 pub mod trace;
 
 pub use hist::{bucket_bound, bucket_index, Histogram, HistogramSnapshot, HIST_BUCKETS};
@@ -31,6 +34,7 @@ pub use recorder::{
     PATH_FULL, PATH_MIXED, PATH_NONE, PATH_PARTIAL, PATH_SCAN, RECORDER_CAPACITY,
 };
 pub use ring::{TraceRing, TRACE_RING_CAPACITY};
+pub use series::{HistRow, SeriesKind, StatRow};
 pub use trace::{
     enabled, next_trace_id, point, probe, probe_start, span_enter, trace_begin, trace_finish,
     Event, EventKind, FinishedTrace, LayerMetrics, SpanGuard, TRACE_EVENT_CAP,

@@ -14,7 +14,6 @@
 //! deepens every event recorded until it drops, so the rendered trace
 //! shows e.g. a WAL append nested under the execute span that caused it.
 
-use crate::hist::Histogram;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -288,9 +287,7 @@ pub fn probe(kind: EventKind, start: Option<Instant>, a: u64, b: u64) {
     let dur_us = started.elapsed().as_micros() as u64;
     ACTIVE.with(|cell| {
         if let Some(t) = cell.borrow_mut().as_mut() {
-            if let Some(h) = t.layers.histogram(kind) {
-                h.record(dur_us);
-            }
+            t.layers.observe(kind, dur_us);
             if kind == EventKind::LookupRangeScan {
                 t.layers.range_scan_tokens.record(a);
             }
@@ -350,70 +347,39 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Histograms fed by the instrumentation points — one per timed event
-/// kind, plus the range-scan token-count distribution. Each server owns
-/// one set and hands it to every trace it opens, so the embedded
-/// instrumentation in `core` and `storage` (which has no server
-/// to hang per-instance state on) records into the right server's set.
-#[derive(Debug, Default)]
-pub struct LayerMetrics {
-    /// Request time spent queued before a worker picked it up, µs.
-    pub queue_wait_us: Histogram,
-    /// Partial-index lookup hits, µs.
-    pub lookup_partial_us: Histogram,
-    /// Full-index lookup probes, µs.
-    pub lookup_full_us: Histogram,
-    /// Range-index + scan lookups, µs.
-    pub lookup_range_scan_us: Histogram,
-    /// Tokens visited per range-scan lookup.
-    pub range_scan_tokens: Histogram,
-    /// Range-index probe time, µs.
-    pub range_probe_us: Histogram,
-    /// End-token scan time, µs.
-    pub scan_end_us: Histogram,
-    /// WAL record append time, µs.
-    pub wal_append_us: Histogram,
-    /// Group-commit fsync wait time, µs.
-    pub group_commit_wait_us: Histogram,
-    /// Execute-span time (opcode body against the store), µs.
-    pub execute_us: Histogram,
-    /// Commit-build time under the exclusive store lock, µs.
-    pub commit_us: Histogram,
-}
-
-impl LayerMetrics {
-    /// The histogram a timed event kind feeds, if any.
-    pub fn histogram(&self, kind: EventKind) -> Option<&Histogram> {
-        Some(match kind {
-            EventKind::QueueWait => &self.queue_wait_us,
-            EventKind::LookupPartial => &self.lookup_partial_us,
-            EventKind::LookupFull => &self.lookup_full_us,
-            EventKind::LookupRangeScan => &self.lookup_range_scan_us,
-            EventKind::RangeProbe => &self.range_probe_us,
-            EventKind::ScanEnd => &self.scan_end_us,
-            EventKind::WalAppend => &self.wal_append_us,
-            EventKind::GroupCommitWait => &self.group_commit_wait_us,
-            EventKind::Execute => &self.execute_us,
-            EventKind::Commit => &self.commit_us,
-            EventKind::PartialMiss => return None,
-        })
-    }
-
-    /// Every histogram with its stable series name, for exposition.
-    pub fn named(&self) -> [(&'static str, &Histogram); 11] {
-        [
-            ("queue_wait_us", &self.queue_wait_us),
-            ("lookup_partial_us", &self.lookup_partial_us),
-            ("lookup_full_us", &self.lookup_full_us),
-            ("lookup_range_scan_us", &self.lookup_range_scan_us),
-            ("range_scan_tokens", &self.range_scan_tokens),
-            ("range_probe_us", &self.range_probe_us),
-            ("scan_end_us", &self.scan_end_us),
-            ("wal_append_us", &self.wal_append_us),
-            ("group_commit_wait_us", &self.group_commit_wait_us),
-            ("execute_us", &self.execute_us),
-            ("commit_us", &self.commit_us),
-        ]
+crate::series! {
+    /// Histograms fed by the instrumentation points — one per timed event
+    /// kind, plus the range-scan token-count distribution. Each server owns
+    /// one set and hands it to every trace it opens, so the embedded
+    /// instrumentation in `core` and `storage` (which has no server
+    /// to hang per-instance state on) records into the right server's set.
+    #[derive(Debug, Default)]
+    pub struct LayerMetrics by EventKind {
+        /// Node-lookup latency by paper lookup path (partial, full,
+        /// range_scan), µs. This member is the partial-index path.
+        lookup_partial_us: Histogram "lookup_duration_us" [path = "partial"]
+            for EventKind::LookupPartial,
+        /// Node-lookup latency of full-index probes, µs.
+        lookup_full_us: Histogram "lookup_duration_us" [path = "full"] for EventKind::LookupFull,
+        /// Node-lookup latency of range-index probe plus in-range scan, µs.
+        lookup_range_scan_us: Histogram "lookup_duration_us" [path = "range_scan"]
+            for EventKind::LookupRangeScan,
+        /// Request time spent queued before a worker picked it up, µs.
+        queue_wait_us: Histogram "queue_wait_us" for EventKind::QueueWait,
+        /// Tokens visited per range-scan lookup.
+        range_scan_tokens: Histogram "range_scan_tokens",
+        /// Range-index probe time, µs.
+        range_probe_us: Histogram "range_probe_us" for EventKind::RangeProbe,
+        /// End-token scan time, µs.
+        scan_end_us: Histogram "scan_end_us" for EventKind::ScanEnd,
+        /// WAL record append time, µs.
+        wal_append_us: Histogram "wal_append_us" for EventKind::WalAppend,
+        /// Group-commit fsync wait time, µs.
+        group_commit_wait_us: Histogram "group_commit_wait_us" for EventKind::GroupCommitWait,
+        /// Execute-span time (opcode body against the store), µs.
+        execute_us: Histogram "execute_us" for EventKind::Execute,
+        /// Commit-build time under the exclusive store lock, µs.
+        commit_us: Histogram "commit_us" for EventKind::Commit,
     }
 }
 

@@ -33,12 +33,12 @@
 //! nothing and never contend.
 
 use crate::metrics::EngineMetrics;
-use crate::stats::{ServerStats, Stat};
+use crate::stats::ServerStats;
 use axs_catalog::{Catalog, CatalogError, StoreSlot};
 use axs_client::wire::{
     put_str, put_u16, put_u32, put_u64, ErrorCode, Frame, OpCode, Reader, WireError,
 };
-use axs_core::{ReadView, StoreError, XmlStore, GC_HISTOGRAM_BOUNDS, GC_HISTOGRAM_BUCKETS};
+use axs_core::{ReadView, StatRow, StoreError, XmlStore};
 use axs_xdm::{NodeId, Token};
 use axs_xml::serializer::SerializeError;
 use axs_xml::{parse_document, parse_fragment, ParseOptions, SerializeOptions, StreamSerializer};
@@ -718,20 +718,20 @@ impl Engine {
         let frames = match opcode {
             Stats => {
                 r.finish()?;
-                let entries = self.stat_entries(store);
+                let rows = self.stat_rows(store);
                 let mut p = Vec::new();
-                put_u32(&mut p, entries.len() as u32);
-                for stat in entries {
-                    put_str(&mut p, &stat.name);
-                    put_u64(&mut p, stat.value);
+                put_u32(&mut p, rows.len() as u32);
+                for row in rows {
+                    put_str(&mut p, row.name);
+                    put_u64(&mut p, row.value);
                 }
                 vec![Frame::done(id, op, p)]
             }
             Metrics => {
                 r.finish()?;
-                let counters = self.stat_entries(store);
-                let text = self.metrics.prometheus_text(&counters);
-                let entries = self.metrics.extended_entries(&counters);
+                let rows = self.stat_rows(store);
+                let text = self.metrics.prometheus_text(&rows);
+                let entries = self.metrics.extended_entries(&rows);
                 let mut p = Vec::new();
                 put_str(&mut p, &text);
                 put_u32(&mut p, entries.len() as u32);
@@ -891,124 +891,15 @@ impl Engine {
         Ok(frames)
     }
 
-    /// Every counter and gauge the server can name: store ops, buffer
-    /// pools, partial index, group commit, epochs, catalog activity, and
-    /// the server's own session counters. `store` is the shared borrow the
-    /// Stats opcode already holds; the `store.*`/`pool.*`/`partial.*`/
-    /// `wal.*`/`mvcc.*` groups describe the store the request addressed,
-    /// while `cat.*` and `server.*` are process-wide.
-    fn stat_entries(&self, store: &XmlStore) -> Vec<Stat> {
-        let mut out = Vec::with_capacity(60);
-        {
-            let s = store.stats();
-            for (name, value) in [
-                ("store.inserts", s.inserts),
-                ("store.deletes", s.deletes),
-                ("store.replaces", s.replaces),
-                ("store.node_reads", s.node_reads),
-                ("store.full_scans", s.full_scans),
-                ("store.tokens_inserted", s.tokens_inserted),
-                ("store.lookups_partial", s.lookups_partial),
-                ("store.lookups_full", s.lookups_full),
-                ("store.lookups_range_scan", s.lookups_range_scan),
-                ("store.tokens_scanned", s.tokens_scanned),
-                ("store.range_splits", s.range_splits),
-                ("store.range_moves", s.range_moves),
-                ("store.full_index_rewrites", s.full_index_rewrites),
-                ("store.wal_records", s.wal_records),
-                ("store.recoveries", s.recoveries),
-                ("store.torn_tail_truncations", s.torn_tail_truncations),
-                ("store.io_retries", s.io_retries),
-            ] {
-                out.push(Stat::counter(name, value));
-            }
-            out.push(Stat::gauge("store.ranges", store.range_count() as u64));
-            let data = store.data_pool_stats();
-            let index = store.index_pool_stats();
-            out.push(Stat::counter("pool.data.hits", data.hits));
-            out.push(Stat::counter("pool.data.misses", data.misses));
-            out.push(Stat::counter("pool.data.evictions", data.evictions));
-            out.push(Stat::counter("pool.index.hits", index.hits));
-            out.push(Stat::counter("pool.index.misses", index.misses));
-            out.push(Stat::counter("pool.index.evictions", index.evictions));
-            let partial = store.partial_stats();
-            out.push(Stat::counter("partial.hits", partial.hits));
-            out.push(Stat::counter("partial.misses", partial.misses));
-            out.push(Stat::gauge(
-                "partial.entries",
-                store.partial_index().map_or(0, |p| p.len() as u64),
-            ));
-            if let Some(gc) = store.group_commit_stats() {
-                out.push(Stat::counter("wal.group_commits", gc.commits));
-                out.push(Stat::counter("wal.group_syncs", gc.syncs));
-                // One histogram entry per batch-size bucket, labeled by its
-                // upper bound ("le" as in less-or-equal; the last is open).
-                debug_assert_eq!(gc.batches.len(), GC_HISTOGRAM_BUCKETS);
-                for (i, &count) in gc.batches.iter().enumerate() {
-                    let label = match GC_HISTOGRAM_BOUNDS.get(i) {
-                        Some(bound) => format!("wal.group_batch_le_{bound}"),
-                        None => "wal.group_batch_gt_16".to_string(),
-                    };
-                    out.push(Stat::counter(label, count));
-                }
-            }
-        }
-        {
-            // Adaptive-index decisions of this store: what the admission /
-            // eviction / retuning machinery did (the always-on counters of
-            // the decision log; the event ring itself is trace-gated).
-            let c = store.decision_log().counts();
-            out.push(Stat::counter("adapt.admits", c.admits));
-            out.push(Stat::counter("adapt.evictions", c.evictions));
-            out.push(Stat::counter("adapt.skips", c.skips));
-            out.push(Stat::counter("adapt.grows", c.grows));
-            out.push(Stat::counter("adapt.shrinks", c.shrinks));
-            out.push(Stat::counter("adapt.holds", c.holds));
-            out.push(Stat::counter(
-                "adapt.log_seq",
-                store.decision_log().last_seq(),
-            ));
-        }
-        {
-            // Epoch lifecycle of this store: how many snapshots are alive,
-            // where the min-active-epoch watermark sits, and how much has
-            // been reclaimed. `mvcc.snapshot_age_*` is the pin-time age of
-            // the snapshot readers actually observed, in microseconds.
-            let m = store.mvcc_stats();
-            out.push(Stat::counter("mvcc.current_epoch", m.current_epoch));
-            out.push(Stat::gauge("mvcc.epochs_live", m.epochs_live));
-            out.push(Stat::gauge("mvcc.oldest_pinned", m.oldest_pinned));
-            out.push(Stat::counter("mvcc.retired_total", m.retired_total));
-            out.push(Stat::gauge("mvcc.pins_active", m.pins_active));
-            out.push(Stat::counter("mvcc.pins_total", m.pins_total));
-            let age = store.epoch_registry().age_snapshot();
-            out.push(Stat::gauge(
-                "mvcc.snapshot_age_us_p50",
-                age.percentile(0.50),
-            ));
-            out.push(Stat::gauge(
-                "mvcc.snapshot_age_us_p99",
-                age.percentile(0.99),
-            ));
-            out.push(Stat::gauge("mvcc.snapshot_age_us_max", age.max));
-            // Lazy materialization: ranges decoded on first snapshot read
-            // instead of eagerly at publish. Staying well below the range
-            // count proves publishes don't decode what nobody reads.
-            out.push(Stat::counter("mvcc.lazy_materialized", m.lazy_materialized));
-            // Node tables built for queries: at most one per epoch.
-            out.push(Stat::counter("mvcc.tables_built", m.tables_built));
-            // Every publish is one epoch, so the count is the epoch number.
-            out.push(Stat::counter("mvcc.publishes", m.current_epoch));
-        }
-        let (cat, live, open) = self.catalog.stats();
-        out.push(Stat::gauge("cat.stores", live as u64));
-        out.push(Stat::gauge("cat.open_stores", open as u64));
-        out.push(Stat::counter("cat.lazy_opens", cat.lazy_opens));
-        out.push(Stat::counter("cat.evictions", cat.evictions));
-        out.push(Stat::counter("cat.creates", cat.creates));
-        out.push(Stat::counter("cat.drops", cat.drops));
-        out.push(Stat::counter("cat.orphans_swept", cat.orphans_swept));
-        out.extend(self.stats.snapshot());
+    /// Every `Stats` row: the addressed store's `store.*`, `pool.*`,
+    /// `partial.*`, `wal.*`, `adapt.*` and `mvcc.*` rows, then the
+    /// process-wide `cat.*` and `server.*` ones. `store` is the shared
+    /// borrow the opcode already holds.
+    fn stat_rows(&self, store: &XmlStore) -> Vec<StatRow> {
+        let mut out = Vec::with_capacity(96);
+        store.stat_rows(&mut out);
+        self.catalog.stat_rows(&mut out);
+        self.stats.rows(&mut out);
         out
     }
 

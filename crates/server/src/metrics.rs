@@ -2,28 +2,29 @@
 //! slow-request log, the retained-trace ring, and `Metrics`-opcode
 //! exposition (Prometheus text + extended self-describing entries).
 //!
-//! Naming conventions (also documented in DESIGN.md §5e):
+//! Both expositions iterate the same lists — the `Stats` rows and this
+//! server's [`LayerMetrics`] histogram table — so a series declared once
+//! (see `axs_obs::series!`) appears in each. Naming (DESIGN.md §5e):
 //!
-//! * Prometheus series carry the `axs_` prefix. Entries from the `Stats`
-//!   opcode map dot-to-underscore (`server.requests` →
-//!   `axs_server_requests`) and keep the counter or gauge kind their
-//!   producer gave them.
-//! * Histograms follow the Prometheus text format: cumulative
-//!   `_bucket{le="..."}` series over the power-of-two bounds (emitted up
-//!   to the highest non-empty bucket, then `+Inf`), plus `_sum` and
-//!   `_count`. Durations are microseconds (`_us`).
-//! * Request latency is `axs_request_duration_us{family="..."}`; node
-//!   lookup latency is `axs_lookup_duration_us{path="..."}` with one
-//!   label value per paper lookup path (partial / full / range_scan).
-//! * The extended entries mirror every `Stats` counter and add derived
-//!   values: `rq.<family>.{count,p50_us,p90_us,p99_us,max_us}`,
-//!   `path.<path>.*` in the same shape, `obs.<series>.*` for this
-//!   server's instrumentation histograms (its [`LayerMetrics`], fed by
-//!   the traces it opens), and `obs.partial_hit_ratio_pct`.
+//! * Prometheus series carry the `axs_` prefix; `Stats` rows map
+//!   dot-to-underscore (`server.requests` → `axs_server_requests`), and
+//!   every series has a `# HELP` line (its declaration's doc comment)
+//!   and a `# TYPE` line (its declared kind).
+//! * Histograms emit cumulative `_bucket{le="..."}` series over the
+//!   power-of-two bounds up to the highest non-empty bucket, then `+Inf`,
+//!   plus `_sum` and `_count`; durations are microseconds (`_us`).
+//!   Request latency is `axs_request_duration_us{family="..."}`; the
+//!   lookup histograms are one family, `axs_lookup_duration_us{path="..."}`.
+//! * The extended entries are every `Stats` row plus summaries
+//!   `<prefix>.{count,p50_us,p90_us,p99_us,max_us}`: `rq.<family>`,
+//!   `rq.store.<store>`, `obs.<series>` per layer histogram and
+//!   `<key>.<value>` per family member (`path.partial`), plus
+//!   `obs.partial_hit_ratio_pct` and the trace-ring counts.
 
-use crate::stats::Stat;
 use axs_client::wire::OpCode;
-use axs_obs::{FinishedTrace, Histogram, HistogramSnapshot, LayerMetrics, TraceRing};
+use axs_obs::{
+    FinishedTrace, HistRow, Histogram, HistogramSnapshot, LayerMetrics, StatRow, TraceRing,
+};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -99,54 +100,6 @@ impl OpFamily {
     }
 }
 
-/// Decoded opcode name for log lines (`op18` for unknown bytes).
-pub(crate) fn opcode_name(opcode_byte: u8) -> String {
-    match OpCode::from_u8(opcode_byte) {
-        Some(op) => format!("{op:?}"),
-        None => format!("op{opcode_byte}"),
-    }
-}
-
-/// Static opcode name for the obs flight recorder, whose namer hook
-/// cannot allocate (`fn(u8) -> &'static str`). Must agree with
-/// [`opcode_name`] for every decodable byte.
-pub(crate) fn opcode_name_static(opcode_byte: u8) -> &'static str {
-    use OpCode::*;
-    match OpCode::from_u8(opcode_byte) {
-        Some(Ping) => "Ping",
-        Some(BulkLoad) => "BulkLoad",
-        Some(Query) => "Query",
-        Some(Flwor) => "Flwor",
-        Some(ReadNode) => "ReadNode",
-        Some(Value) => "Value",
-        Some(Children) => "Children",
-        Some(Parent) => "Parent",
-        Some(InsertFirst) => "InsertFirst",
-        Some(InsertLast) => "InsertLast",
-        Some(InsertBefore) => "InsertBefore",
-        Some(InsertAfter) => "InsertAfter",
-        Some(Delete) => "Delete",
-        Some(Replace) => "Replace",
-        Some(ReadAll) => "ReadAll",
-        Some(Stats) => "Stats",
-        Some(Report) => "Report",
-        Some(Flush) => "Flush",
-        Some(Verify) => "Verify",
-        Some(Compact) => "Compact",
-        Some(Ranges) => "Ranges",
-        Some(Sleep) => "Sleep",
-        Some(Shutdown) => "Shutdown",
-        Some(Metrics) => "Metrics",
-        Some(CreateStore) => "CreateStore",
-        Some(DropStore) => "DropStore",
-        Some(ListStores) => "ListStores",
-        Some(UseStore) => "UseStore",
-        Some(Explain) => "Explain",
-        Some(DumpRecorder) => "DumpRecorder",
-        None => "unknown",
-    }
-}
-
 /// Per-server observability state: request-latency histograms by opcode
 /// family, the layer histograms its traces feed, the retained-trace
 /// ring, and the slow-request log.
@@ -213,7 +166,8 @@ impl EngineMetrics {
             bytes,
         });
         if self.slow_threshold.is_some_and(|t| total >= t) {
-            let name = opcode_name(opcode_byte);
+            let name = OpCode::from_u8(opcode_byte)
+                .map_or_else(|| format!("op{opcode_byte}"), |op| op.name().to_string());
             let line = match &trace {
                 Some(t) => format!("slow request ({total_us}us): {}", t.render(&name)),
                 None => format!(
@@ -266,17 +220,21 @@ impl EngineMetrics {
             .collect()
     }
 
-    /// The Prometheus-style exposition text. `stats` is the full
-    /// `Stats`-opcode row list (already holding the store borrow).
-    pub(crate) fn prometheus_text(&self, stats: &[Stat]) -> String {
+    /// The Prometheus-style exposition text: every `Stats` row, then the
+    /// request histograms and this server's layer histograms, each series
+    /// with its `# HELP` and `# TYPE`.
+    pub(crate) fn prometheus_text(&self, rows: &[StatRow]) -> String {
+        use std::fmt::Write as _;
         let mut out = String::with_capacity(8192);
-        for stat in stats {
-            let series = format!("axs_{}", stat.name.replace('.', "_"));
-            let kind = if stat.gauge { "gauge" } else { "counter" };
-            out.push_str(&format!(
-                "# TYPE {series} {kind}\n{series} {}\n",
-                stat.value
-            ));
+        for row in rows {
+            let series = format!("axs_{}", row.name.replace('.', "_"));
+            let _ = write!(
+                out,
+                "# HELP {series} {}\n# TYPE {series} {}\n{series} {}\n",
+                row.help,
+                row.kind.as_str(),
+                row.value
+            );
         }
         // Aggregate family series first (label shape unchanged from v1),
         // then the same histogram broken down with a `store` label —
@@ -297,44 +255,33 @@ impl EngineMetrics {
         emit_histogram(
             &mut out,
             "axs_request_duration_us",
-            "request latency by opcode family, microseconds",
+            "Request latency by opcode family, µs.",
             &request_labeled,
         );
-        let g = &self.layers;
-        emit_histogram(
-            &mut out,
-            "axs_lookup_duration_us",
-            "node-lookup latency by paper lookup path, microseconds",
-            &[
-                (
-                    "path=\"partial\"".to_string(),
-                    g.lookup_partial_us.snapshot(),
-                ),
-                ("path=\"full\"".to_string(), g.lookup_full_us.snapshot()),
-                (
-                    "path=\"range_scan\"".to_string(),
-                    g.lookup_range_scan_us.snapshot(),
-                ),
-            ],
-        );
-        for (name, hist) in g.named() {
-            if name.starts_with("lookup_") {
-                continue; // exposed above, labeled by path
-            }
-            emit_histogram(
-                &mut out,
-                &format!("axs_{name}"),
-                "",
-                &[(String::new(), hist.snapshot())],
-            );
+        let layers: Vec<HistRow<'_>> = self.layers.histograms().collect();
+        for family in layers.chunk_by(|a, b| a.name == b.name) {
+            let labeled: Vec<(String, HistogramSnapshot)> = family
+                .iter()
+                .map(|h| {
+                    let label = h
+                        .label
+                        .map_or(String::new(), |(k, v)| format!("{k}=\"{v}\""));
+                    (label, h.hist.snapshot())
+                })
+                .collect();
+            let series = format!("axs_{}", family[0].name);
+            emit_histogram(&mut out, &series, family[0].help, &labeled);
         }
         out
     }
 
     /// The extended self-describing entries: every `Stats` row plus
     /// derived percentiles and ratios (single round trip for `axs top`).
-    pub(crate) fn extended_entries(&self, stats: &[Stat]) -> Vec<(String, u64)> {
-        let mut out: Vec<(String, u64)> = stats.iter().map(|s| (s.name.clone(), s.value)).collect();
+    /// A layer histogram's summary is `obs.<series>.*`, a labelled family
+    /// member's `<key>.<value>.*` (`path.partial.*`).
+    pub(crate) fn extended_entries(&self, rows: &[StatRow]) -> Vec<(String, u64)> {
+        let mut out: Vec<(String, u64)> =
+            rows.iter().map(|r| (r.name.to_string(), r.value)).collect();
         for (name, s) in self.family_snapshots() {
             push_summary(&mut out, &format!("rq.{name}"), &s);
         }
@@ -348,22 +295,15 @@ impl EngineMetrics {
             }
             push_summary(&mut out, &format!("rq.store.{store}"), &merged);
         }
-        let g = &self.layers;
-        for (path, s) in [
-            ("partial", g.lookup_partial_us.snapshot()),
-            ("full", g.lookup_full_us.snapshot()),
-            ("range_scan", g.lookup_range_scan_us.snapshot()),
-        ] {
-            push_summary(&mut out, &format!("path.{path}"), &s);
+        for h in self.layers.histograms() {
+            let prefix = match h.label {
+                Some((key, value)) => format!("{key}.{value}"),
+                None => format!("obs.{}", h.name),
+            };
+            push_summary(&mut out, &prefix, &h.hist.snapshot());
         }
-        for (name, hist) in g.named() {
-            if name.starts_with("lookup_") {
-                continue;
-            }
-            push_summary(&mut out, &format!("obs.{name}"), &hist.snapshot());
-        }
-        let hits = lookup(stats, "partial.hits");
-        let misses = lookup(stats, "partial.misses");
+        let hits = lookup(rows, "partial.hits");
+        let misses = lookup(rows, "partial.misses");
         let ratio = (hits * 100).checked_div(hits + misses).unwrap_or(0);
         out.push(("obs.partial_hit_ratio_pct".to_string(), ratio));
         out.push((
@@ -379,8 +319,8 @@ impl EngineMetrics {
     }
 }
 
-fn lookup(stats: &[Stat], name: &str) -> u64 {
-    stats.iter().find(|s| s.name == name).map_or(0, |s| s.value)
+fn lookup(rows: &[StatRow], name: &str) -> u64 {
+    rows.iter().find(|r| r.name == name).map_or(0, |r| r.value)
 }
 
 fn push_summary(out: &mut Vec<(String, u64)>, prefix: &str, s: &HistogramSnapshot) {
@@ -400,9 +340,7 @@ fn emit_histogram(
     labeled: &[(String, HistogramSnapshot)],
 ) {
     use std::fmt::Write as _;
-    if !help.is_empty() {
-        let _ = writeln!(out, "# HELP {series} {help}");
-    }
+    let _ = writeln!(out, "# HELP {series} {help}");
     let _ = writeln!(out, "# TYPE {series} histogram");
     for (labels, s) in labeled {
         let with = |extra: &str| -> String {
@@ -443,7 +381,8 @@ mod tests {
         for b in 1..=30u8 {
             assert!(OpCode::from_u8(b).is_some(), "opcode {b} exists");
             let _ = OpFamily::of(b); // must not panic
-            assert_eq!(opcode_name_static(b), opcode_name(b), "opcode {b} name");
+            let op = OpCode::from_u8(b).unwrap();
+            assert_eq!(op.name(), format!("{op:?}"), "opcode {b} name");
         }
         assert_eq!(OpFamily::of(25), OpFamily::Control);
         assert_eq!(OpFamily::of(28), OpFamily::Control);
@@ -463,14 +402,19 @@ mod tests {
         let m = EngineMetrics::new(None);
         m.finish_request(5, "default", 0, true, 8, Duration::from_micros(100), None);
         m.finish_request(5, "aux", 1, true, 8, Duration::from_micros(3), None);
-        let stats = vec![
-            Stat::counter("server.requests", 2),
-            Stat::gauge("mvcc.epochs_live", 1),
+        let rows = axs_obs::stat_rows![
+            /// Request frames received.
+            Counter "server.requests" = 2,
+            /// Epochs alive.
+            Gauge "mvcc.epochs_live" = 1,
         ];
-        let text = m.prometheus_text(&stats);
+        let text = m.prometheus_text(&rows);
         assert!(text.contains("axs_server_requests 2"), "{text}");
         assert!(
-            text.contains("# TYPE axs_server_requests counter"),
+            text.contains(
+                "# HELP axs_server_requests Request frames received.\n\
+                 # TYPE axs_server_requests counter\n"
+            ),
             "{text}"
         );
         assert!(text.contains("# TYPE axs_mvcc_epochs_live gauge"), "{text}");
@@ -496,7 +440,17 @@ mod tests {
             text.contains("axs_request_duration_us_bucket{family=\"point_read\",le=\"+Inf\"} 2"),
             "{text}"
         );
-        assert!(text.contains("axs_lookup_duration_us"), "{text}");
+        // The three lookup paths are one family: one HELP, one TYPE.
+        assert_eq!(
+            text.matches("# TYPE axs_lookup_duration_us histogram\n")
+                .count(),
+            1,
+            "{text}"
+        );
+        for path in ["partial", "full", "range_scan"] {
+            let count = format!("axs_lookup_duration_us_count{{path=\"{path}\"}} 0");
+            assert!(text.contains(&count), "{text}");
+        }
         assert!(text.contains("axs_queue_wait_us"), "{text}");
     }
 
@@ -516,11 +470,13 @@ mod tests {
     fn extended_entries_carry_percentiles() {
         let m = EngineMetrics::new(None);
         m.finish_request(5, "default", 0, true, 16, Duration::from_micros(100), None);
-        let stats = vec![
-            Stat::counter("partial.hits", 3),
-            Stat::counter("partial.misses", 1),
+        let rows = axs_obs::stat_rows![
+            /// Hits.
+            Counter "partial.hits" = 3,
+            /// Misses.
+            Counter "partial.misses" = 1,
         ];
-        let entries = m.extended_entries(&stats);
+        let entries = m.extended_entries(&rows);
         let get = |name: &str| {
             entries
                 .iter()

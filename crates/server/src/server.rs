@@ -134,7 +134,7 @@ impl Server {
         // Flight-recorder wiring is process-wide and idempotent: opcode
         // names for dump lines, and a panic hook that dumps the recorder
         // before the default hook prints the backtrace.
-        axs_obs::set_opcode_namer(crate::metrics::opcode_name_static);
+        axs_obs::set_opcode_namer(|b| OpCode::from_u8(b).map_or("unknown", OpCode::name));
         axs_obs::install_panic_hook();
         let stats = Arc::new(ServerStats::default());
         let metrics = Arc::new(EngineMetrics::new(config.slow_request));

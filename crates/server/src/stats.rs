@@ -2,61 +2,50 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Atomic counters describing the server's own behavior (as opposed to
-/// the store's), surfaced through the `stats` opcode.
-///
-/// The read/write families split request execution by access mode: reads
-/// run under *shared* store access (many in flight at once — the in-flight
-/// gauge and its high-water mark make the overlap observable), writes run
-/// under exclusive access and amortize durability through the group-commit
-/// WAL (whose batch histogram is reported alongside, see
-/// `Engine::stat_entries`).
-#[derive(Debug, Default)]
-pub struct ServerStats {
-    /// Connections accepted over the server's lifetime.
-    pub connections: AtomicU64,
-    /// Connections currently open.
-    pub connections_active: AtomicU64,
-    /// Connections rejected at the connection cap.
-    pub connections_rejected: AtomicU64,
-    /// Request frames received.
-    pub requests: AtomicU64,
-    /// Requests rejected with `Busy` because the worker queue was full.
-    pub busy_rejections: AtomicU64,
-    /// Requests answered with `Timeout` after the request window lapsed.
-    pub timeouts: AtomicU64,
-    /// Malformed frames / payloads answered with `Protocol`.
-    pub protocol_errors: AtomicU64,
-    /// Read opcodes executed under shared store access.
-    pub reads_shared: AtomicU64,
-    /// Read opcodes served from a pinned MVCC snapshot, without the
-    /// store's reader-writer lock; a subset of `reads_shared`.
-    pub reads_snapshot: AtomicU64,
-    /// Write opcodes executed under exclusive store access.
-    pub writes_exclusive: AtomicU64,
-    /// Writes that entered execution while at least one other write was
-    /// already in flight on the same server. Mutation itself is serialized
-    /// by the store's write guard, so values above 0 mean writers overlap
-    /// where they can: one queues on the guard or mutates while another
-    /// waits on the group fsync.
-    pub writes_parallel: AtomicU64,
-    /// Write opcodes currently in flight: parsed, and either queued on or
-    /// holding the store's write guard, or waiting on the group fsync.
-    pub writes_in_flight: AtomicU64,
-    /// Most writes ever observed in flight at once — values above 1 are
-    /// writers overlapping across the group-fsync wait.
-    pub writes_max_in_flight: AtomicU64,
-    /// Read opcodes currently holding shared access.
-    pub reads_in_flight: AtomicU64,
-    /// Most read opcodes ever observed holding shared access at once —
-    /// values above 1 prove readers genuinely overlap.
-    pub reads_max_in_flight: AtomicU64,
-    /// Write commits that waited on the shared group-commit fsync.
-    pub commit_waits: AtomicU64,
-    /// Stores created via the `CreateStore` opcode.
-    pub stores_created: AtomicU64,
-    /// Stores dropped via the `DropStore` opcode.
-    pub stores_dropped: AtomicU64,
+axs_obs::series! {
+    /// The server's own counters and gauges (as opposed to the store's),
+    /// recorded concurrently by sessions. Reads run under shared store
+    /// access, writes under its write guard and then the group fsync.
+    #[derive(Debug, Default)]
+    pub struct ServerStats {
+        /// Connections accepted over the server's lifetime.
+        connections: Counter "server.connections",
+        /// Connections currently open.
+        connections_active: Gauge "server.connections_active",
+        /// Connections rejected at the connection cap.
+        connections_rejected: Counter "server.connections_rejected",
+        /// Request frames received.
+        requests: Counter "server.requests",
+        /// Requests rejected with Busy because the worker queue was full.
+        busy_rejections: Counter "server.busy_rejections",
+        /// Requests answered with Timeout after the request window lapsed.
+        timeouts: Counter "server.timeouts",
+        /// Malformed frames / payloads answered with Protocol.
+        protocol_errors: Counter "server.protocol_errors",
+        /// Read opcodes executed under shared store access.
+        reads_shared: Counter "server.reads_shared",
+        /// Read opcodes served from a pinned MVCC snapshot (a subset of reads_shared).
+        reads_snapshot: Counter "server.reads_snapshot",
+        /// Write opcodes executed under exclusive store access.
+        writes_exclusive: Counter "server.writes_exclusive",
+        /// Writes that entered execution while another was in flight: one
+        /// queued on the write guard or mutating while another awaits fsync.
+        writes_parallel: Counter "server.writes_parallel",
+        /// Write opcodes in flight: on or queued for the write guard, or fsyncing.
+        writes_in_flight: Gauge "server.writes_in_flight",
+        /// Most writes ever in flight at once (above 1: writers overlapped).
+        writes_max_in_flight: Gauge "server.writes_max_in_flight",
+        /// Read opcodes currently holding shared access.
+        reads_in_flight: Gauge "server.reads_in_flight",
+        /// Most reads ever holding shared access at once (above 1: overlap).
+        reads_max_in_flight: Gauge "server.reads_max_in_flight",
+        /// Write commits that waited on the shared group-commit fsync.
+        commit_waits: Counter "server.commit_waits",
+        /// Stores created via the CreateStore opcode.
+        stores_created: Counter "server.stores_created",
+        /// Stores dropped via the DropStore opcode.
+        stores_dropped: Counter "server.stores_dropped",
+    }
 }
 
 impl ServerStats {
@@ -75,68 +64,6 @@ impl ServerStats {
         let now = self.reads_in_flight.fetch_add(1, Ordering::Relaxed) + 1;
         self.reads_max_in_flight.fetch_max(now, Ordering::Relaxed);
         ReadGuard { stats: self }
-    }
-
-    /// Every counter and gauge as a named [`Stat`] row, in stable order.
-    pub(crate) fn snapshot(&self) -> Vec<Stat> {
-        let read = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        vec![
-            Stat::counter("server.connections", read(&self.connections)),
-            Stat::gauge("server.connections_active", read(&self.connections_active)),
-            Stat::counter(
-                "server.connections_rejected",
-                read(&self.connections_rejected),
-            ),
-            Stat::counter("server.requests", read(&self.requests)),
-            Stat::counter("server.busy_rejections", read(&self.busy_rejections)),
-            Stat::counter("server.timeouts", read(&self.timeouts)),
-            Stat::counter("server.protocol_errors", read(&self.protocol_errors)),
-            Stat::counter("server.reads_shared", read(&self.reads_shared)),
-            Stat::counter("server.reads_snapshot", read(&self.reads_snapshot)),
-            Stat::counter("server.writes_exclusive", read(&self.writes_exclusive)),
-            Stat::counter("server.writes_parallel", read(&self.writes_parallel)),
-            Stat::gauge("server.writes_in_flight", read(&self.writes_in_flight)),
-            Stat::gauge(
-                "server.writes_max_in_flight",
-                read(&self.writes_max_in_flight),
-            ),
-            Stat::gauge("server.reads_in_flight", read(&self.reads_in_flight)),
-            Stat::gauge(
-                "server.reads_max_in_flight",
-                read(&self.reads_max_in_flight),
-            ),
-            Stat::counter("server.commit_waits", read(&self.commit_waits)),
-            Stat::counter("server.stores_created", read(&self.stores_created)),
-            Stat::counter("server.stores_dropped", read(&self.stores_dropped)),
-        ]
-    }
-}
-
-/// One row of the `Stats` opcode. Its Prometheus kind is decided where the
-/// row is produced: a `gauge` is a level that can fall or a high-water
-/// mark, a `counter` only ever grows.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct Stat {
-    pub(crate) name: String,
-    pub(crate) value: u64,
-    pub(crate) gauge: bool,
-}
-
-impl Stat {
-    pub(crate) fn counter(name: impl Into<String>, value: u64) -> Stat {
-        Stat {
-            name: name.into(),
-            value,
-            gauge: false,
-        }
-    }
-
-    pub(crate) fn gauge(name: impl Into<String>, value: u64) -> Stat {
-        Stat {
-            name: name.into(),
-            value,
-            gauge: true,
-        }
     }
 }
 
@@ -200,8 +127,10 @@ mod tests {
         drop(g2);
         drop(g1);
         assert_eq!(stats.writes_in_flight.load(Ordering::Relaxed), 0);
-        let named = stats.snapshot();
-        assert!(named.contains(&Stat::counter("server.writes_parallel", 1)));
-        assert!(named.contains(&Stat::counter("server.writes_exclusive", 2)));
+        let mut rows = Vec::new();
+        stats.rows(&mut rows);
+        let get = |name| rows.iter().find(|r| r.name == name).unwrap().value;
+        assert_eq!(get("server.writes_parallel"), 1);
+        assert_eq!(get("server.writes_exclusive"), 2);
     }
 }

@@ -524,10 +524,7 @@ fn snapshot_reads_see_acknowledged_writes() {
         reads,
         "every data read took the snapshot path"
     );
-    assert!(
-        stat(&after, "mvcc.current_epoch") >= 9,
-        "one epoch per commit"
-    );
+    assert!(stat(&after, "mvcc.publishes") >= 9, "one epoch per commit");
     assert_eq!(
         stat(&after, "mvcc.pins_active"),
         0,
@@ -587,7 +584,7 @@ fn same_subtree_writers_share_an_fsync() {
         [
             "wal.group_commits",
             "wal.group_syncs",
-            "mvcc.current_epoch",
+            "mvcc.publishes",
             "server.commit_waits",
         ]
         .map(|n| stat(&stats, n))

@@ -40,8 +40,8 @@ pub use page::PageId;
 pub use pool::{BufferPool, PoolOptions, PoolStats, RetryPolicy};
 pub use store::{FilePageStore, MemPageStore, PageStore};
 pub use wal::{
-    CommitTicket, GroupCommit, GroupCommitStats, LoggedImage, RecoveredImage, Wal, WalRecovery,
-    GC_HISTOGRAM_BOUNDS, GC_HISTOGRAM_BUCKETS,
+    CommitTicket, GroupCommit, GroupCommitCounters, GroupCommitStats, LoggedImage, RecoveredImage,
+    Wal, WalRecovery,
 };
 
 /// Configuration for a storage instance.

@@ -140,21 +140,6 @@ impl WalRecovery {
     }
 }
 
-/// Number of buckets in the group-commit batch-size histogram: batches of
-/// 1, 2, 3, 4, 5–8, 9–16, and 17+ commits per fsync.
-pub const GC_HISTOGRAM_BUCKETS: usize = 7;
-
-/// Upper bounds (inclusive) of the histogram buckets; the last bucket is
-/// open-ended.
-pub const GC_HISTOGRAM_BOUNDS: [u64; GC_HISTOGRAM_BUCKETS - 1] = [1, 2, 3, 4, 8, 16];
-
-fn gc_bucket(batch: u64) -> usize {
-    GC_HISTOGRAM_BOUNDS
-        .iter()
-        .position(|&b| batch <= b)
-        .unwrap_or(GC_HISTOGRAM_BUCKETS - 1)
-}
-
 struct GcInner {
     /// Highest commit LSN any committer has asked to make durable.
     highest_requested: u64,
@@ -167,16 +152,31 @@ struct GcInner {
     pending: u64,
 }
 
-/// Snapshot of group-commit activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GroupCommitStats {
-    /// Commits that went through the group-commit path.
-    pub commits: u64,
-    /// `sync_data` calls issued by leaders (each seals >= 1 commit).
-    pub syncs: u64,
-    /// Batch-size histogram: commits per fsync, bucketed as 1, 2, 3, 4,
-    /// 5–8, 9–16, 17+.
-    pub batches: [u64; GC_HISTOGRAM_BUCKETS],
+axs_obs::series! {
+    /// Group-commit activity: commits, the fsyncs that sealed them, and
+    /// those fsyncs by batch size — `observe(batch, 1)` files a batch of
+    /// `batch` commits under its bucket.
+    #[derive(Debug, Default)]
+    pub struct GroupCommitCounters => GroupCommitStats by u64 {
+        /// Commits that went through the group-commit path.
+        commits: Counter "wal.group_commits",
+        /// Group-commit fsyncs; each seals one or more commits.
+        syncs: Counter "wal.group_syncs",
+        /// Group-commit fsyncs that sealed 1 commit.
+        batch_le_1: Counter "wal.group_batch_le_1" for 1,
+        /// Group-commit fsyncs that sealed 2 commits.
+        batch_le_2: Counter "wal.group_batch_le_2" for 2,
+        /// Group-commit fsyncs that sealed 3 commits.
+        batch_le_3: Counter "wal.group_batch_le_3" for 3,
+        /// Group-commit fsyncs that sealed 4 commits.
+        batch_le_4: Counter "wal.group_batch_le_4" for 4,
+        /// Group-commit fsyncs that sealed 5 to 8 commits.
+        batch_le_8: Counter "wal.group_batch_le_8" for 5..=8,
+        /// Group-commit fsyncs that sealed 9 to 16 commits.
+        batch_le_16: Counter "wal.group_batch_le_16" for 9..=16,
+        /// Group-commit fsyncs that sealed more than 16 commits.
+        batch_gt_16: Counter "wal.group_batch_gt_16" for 17..,
+    }
 }
 
 /// Shared fsync batcher behind [`Wal::commit_nosync`]. One exists per WAL;
@@ -189,9 +189,8 @@ pub struct GroupCommit {
     window_nanos: AtomicU64,
     inner: Mutex<GcInner>,
     cond: Condvar,
-    commits: AtomicU64,
-    syncs: AtomicU64,
-    batches: [AtomicU64; GC_HISTOGRAM_BUCKETS],
+    /// Activity counters.
+    pub counters: GroupCommitCounters,
 }
 
 impl GroupCommit {
@@ -206,9 +205,7 @@ impl GroupCommit {
                 pending: 0,
             }),
             cond: Condvar::new(),
-            commits: AtomicU64::new(0),
-            syncs: AtomicU64::new(0),
-            batches: Default::default(),
+            counters: GroupCommitCounters::default(),
         })
     }
 
@@ -228,15 +225,7 @@ impl GroupCommit {
 
     /// Activity counters.
     pub fn stats(&self) -> GroupCommitStats {
-        let mut batches = [0u64; GC_HISTOGRAM_BUCKETS];
-        for (out, b) in batches.iter_mut().zip(&self.batches) {
-            *out = b.load(Ordering::Relaxed);
-        }
-        GroupCommitStats {
-            commits: self.commits.load(Ordering::Relaxed),
-            syncs: self.syncs.load(Ordering::Relaxed),
-            batches,
-        }
+        self.counters.snapshot()
     }
 
     /// Blocks until commit `lsn` is durable, electing a leader to fsync on
@@ -249,7 +238,7 @@ impl GroupCommit {
     }
 
     fn wait_durable_inner(&self, lsn: u64) -> Result<(), StorageError> {
-        self.commits.fetch_add(1, Ordering::Relaxed);
+        self.counters.commits.fetch_add(1, Ordering::Relaxed);
         let mut g = self.inner.lock();
         if lsn > g.highest_requested {
             g.highest_requested = lsn;
@@ -291,10 +280,8 @@ impl GroupCommit {
             if target > after.highest_synced {
                 after.highest_synced = target;
             }
-            self.syncs.fetch_add(1, Ordering::Relaxed);
-            if batch > 0 {
-                self.batches[gc_bucket(batch)].fetch_add(1, Ordering::Relaxed);
-            }
+            self.counters.syncs.fetch_add(1, Ordering::Relaxed);
+            self.counters.observe(batch, 1);
             self.cond.notify_all();
             g = after;
         }
@@ -748,7 +735,12 @@ mod tests {
         let stats = wal.group_commit().stats();
         assert_eq!(stats.commits, 32);
         assert!(stats.syncs >= 1 && stats.syncs <= 32);
-        assert_eq!(stats.batches.iter().sum::<u64>(), stats.syncs);
+        let mut rows = Vec::new();
+        wal.group_commit().counters.rows(&mut rows);
+        let batches = rows
+            .iter()
+            .filter(|r| r.name.starts_with("wal.group_batch_"));
+        assert_eq!(batches.map(|r| r.value).sum::<u64>(), stats.syncs);
         drop(wal);
         let (_, rec) = Wal::recover(&path, PS).unwrap();
         assert_eq!(rec.batches.len(), 32, "every nosync commit must be sealed");
@@ -786,16 +778,14 @@ mod tests {
 
     #[test]
     fn histogram_buckets_cover_all_sizes() {
-        assert_eq!(gc_bucket(1), 0);
-        assert_eq!(gc_bucket(2), 1);
-        assert_eq!(gc_bucket(3), 2);
-        assert_eq!(gc_bucket(4), 3);
-        assert_eq!(gc_bucket(5), 4);
-        assert_eq!(gc_bucket(8), 4);
-        assert_eq!(gc_bucket(9), 5);
-        assert_eq!(gc_bucket(16), 5);
-        assert_eq!(gc_bucket(17), 6);
-        assert_eq!(gc_bucket(1000), 6);
+        let c = GroupCommitCounters::default();
+        for batch in [0, 1, 2, 3, 4, 5, 8, 9, 16, 17, 1000] {
+            c.observe(batch, 1);
+        }
+        let s = c.snapshot();
+        let buckets = [s.batch_le_1, s.batch_le_2, s.batch_le_3, s.batch_le_4];
+        assert_eq!(buckets, [1, 1, 1, 1]);
+        assert_eq!([s.batch_le_8, s.batch_le_16, s.batch_gt_16], [2, 2, 2]);
     }
 
     /// A page of `fill` whose last `zeros` bytes are zero.

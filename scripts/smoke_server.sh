@@ -93,6 +93,17 @@ grep -q 'axs_request_duration_us_bucket{family="' <<<"$CLIENT_OUT" \
     || fail "metrics missing request-latency histogram: $CLIENT_OUT"
 grep -q 'axs_lookup_duration_us' <<<"$CLIENT_OUT" \
     || fail "metrics missing lookup-path histogram: $CLIENT_OUT"
+# Every series documents itself: each `# TYPE` line follows a non-empty
+# `# HELP` line for the same series (the shell's prompt may prefix a line).
+TYPES="$(grep -c '^\(axs> \)*# TYPE ' <<<"$CLIENT_OUT" || true)"
+[[ "$TYPES" -gt 0 ]] || fail "metrics has no # TYPE lines: $CLIENT_OUT"
+UNDOCUMENTED="$(awk '
+    { sub(/^(axs> )+/, "") }
+    /^# HELP / { help = $3; text = $4; next }
+    /^# TYPE / { if ($3 != help || text == "") print $3 }
+    { help = "" }
+' <<<"$CLIENT_OUT")"
+[[ -z "$UNDOCUMENTED" ]] || fail "series without a # HELP line: $UNDOCUMENTED"
 
 TOP_OUT="$("$AXS" top "127.0.0.1:$PORT" --once)" || fail "axs top --once failed"
 grep -q "req/s"                    <<<"$TOP_OUT" || fail "top missing rate line: $TOP_OUT"
