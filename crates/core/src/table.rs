@@ -12,6 +12,8 @@
 //! name      u32   id into the table's name dictionary (u32::MAX: none)
 //! begin     u32   token position of the node's begin token
 //! end       u32   token position of its end token (== begin for leaves)
+//! run       u32   the run (borrowed fragment or store range) its begin
+//!                 token lives in
 //! parent    u32   node index (u32::MAX: top-level)
 //! link      u32   start of its attributes-then-children run in `links`
 //! attrs     u32   attribute count of that run
@@ -24,8 +26,10 @@
 //! are not copied — the table reads them where they already are, in a
 //! borrowed `&[Token]` fragment or in the `Arc<RangeData>`s a
 //! [`ReadView`](crate::ReadView) hands out, and regenerates node ids from
-//! each range's start id (§6.1). Document tokens are transparent: their
-//! content becomes top-level nodes.
+//! each range's start id (§6.1). The `run` column makes every token read
+//! O(1): a node's begin token, subtree and id are found in its run by one
+//! subtraction, with no search over the runs. Document tokens are
+//! transparent: their content becomes top-level nodes.
 //!
 //! A [`Snapshot`](crate::Snapshot) builds its table on the first query that
 //! pins the epoch and keeps it until the epoch is dropped. A snapshot never
@@ -91,6 +95,8 @@ pub struct NodeTable<'t> {
     name: Vec<u32>,
     begin: Vec<u32>,
     end: Vec<u32>,
+    /// Index into `runs` of the run holding the node's begin token.
+    run: Vec<u32>,
     parent: Vec<u32>,
     link: Vec<u32>,
     attrs: Vec<u32>,
@@ -134,6 +140,16 @@ impl<'t> NodeTable<'t> {
         Some(self.name[n as usize]).filter(|&id| id != NONE)
     }
 
+    /// The nodes in `from..to` whose name id is `name`, in document order:
+    /// one pass over the name column.
+    pub fn named(&self, from: u32, to: u32, name: u32) -> impl Iterator<Item = u32> + '_ {
+        self.name[from as usize..to as usize]
+            .iter()
+            .enumerate()
+            .filter(move |&(_, &id)| id == name)
+            .map(move |(i, _)| from + i as u32)
+    }
+
     /// The id of the name whose lexical form (`prefix:local`) is
     /// `lexical`, if any node of the table carries it.
     pub fn name_id(&self, lexical: &str) -> Option<u32> {
@@ -174,36 +190,33 @@ impl<'t> NodeTable<'t> {
         n + 1 + self.begin[n as usize + 1..].partition_point(|&b| b <= end) as u32
     }
 
-    fn run_index(&self, pos: u32) -> usize {
-        self.runs.partition_point(|r| r.first_token <= pos) - 1
+    /// The node's run and its begin token's offset within that run.
+    fn locate(&self, n: u32) -> (&Run<'t>, usize) {
+        let run = &self.runs[self.run[n as usize] as usize];
+        (run, (self.begin[n as usize] - run.first_token) as usize)
     }
 
     /// The node's begin token.
     pub fn begin_token(&self, n: u32) -> &Token {
-        let pos = self.begin[n as usize];
-        let run = &self.runs[self.run_index(pos)];
-        &run.backing.tokens()[(pos - run.first_token) as usize]
+        let (run, at) = self.locate(n);
+        &run.backing.tokens()[at]
     }
 
     /// The node's subtree tokens, begin through end, read in place.
     pub fn tokens(&self, n: u32) -> impl Iterator<Item = &Token> + '_ {
-        let (begin, end) = (self.begin[n as usize], self.end[n as usize]);
-        let first = self.run_index(begin);
-        let run = &self.runs[first];
-        run.backing.tokens()[(begin - run.first_token) as usize..]
+        let (run, at) = self.locate(n);
+        let next = self.run[n as usize] as usize + 1;
+        let len = (self.end[n as usize] - self.begin[n as usize]) as usize + 1;
+        run.backing.tokens()[at..]
             .iter()
-            .chain(
-                self.runs[first + 1..]
-                    .iter()
-                    .flat_map(|r| r.backing.tokens()),
-            )
-            .take((end - begin) as usize + 1)
+            .chain(self.runs[next..].iter().flat_map(|r| r.backing.tokens()))
+            .take(len)
     }
 
     /// The node's stable id, regenerated from its range's start id; `None`
     /// in a fragment table.
     pub fn node_id(&self, n: u32) -> Option<NodeId> {
-        let run = &self.runs[self.run_index(self.begin[n as usize])];
+        let run = &self.runs[self.run[n as usize] as usize];
         match &run.backing {
             Backing::Fragment(_) => None,
             Backing::Range(r) => Some(NodeId(r.header.start_id.0 + u64::from(n - run.first_node))),
@@ -245,6 +258,7 @@ impl<'t> NodeTable<'t> {
                 &self.name,
                 &self.begin,
                 &self.end,
+                &self.run,
                 &self.parent,
                 &self.link,
                 &self.attrs,
@@ -269,6 +283,7 @@ impl NodeTable<'static> {
             &mut b.t.name,
             &mut b.t.begin,
             &mut b.t.end,
+            &mut b.t.run,
             &mut b.t.parent,
             &mut b.t.link,
             &mut b.t.attrs,
@@ -349,6 +364,7 @@ impl<'t> Builder<'t> {
         t.name.push(name);
         t.begin.push(self.position);
         t.end.push(self.position);
+        t.run.push(t.runs.len() as u32);
         t.parent.push(parent);
         t.link.push(0);
         t.attrs.push(0);
@@ -397,6 +413,7 @@ impl<'t> Builder<'t> {
 mod tests {
     use super::*;
     use axs_xml::{parse_fragment, ParseOptions};
+    use proptest::prelude::*;
 
     fn frag(xml: &str) -> Vec<Token> {
         parse_fragment(xml, ParseOptions::default()).unwrap()
@@ -444,5 +461,82 @@ mod tests {
         assert_eq!(t.tokens(3).count(), 3);
         assert_eq!(t.string_value(0), "12");
         assert!(t.heap_bytes() > 0);
+    }
+
+    /// A generated element subtree: attributes, text, comments, PIs and
+    /// child elements.
+    fn tree() -> impl Strategy<Value = Vec<Token>> {
+        let leaf = prop_oneof![
+            (0usize..3).prop_map(|v| vec![Token::text(["x", "y", "zz"][v])]),
+            Just(vec![Token::comment("c")]),
+            Just(vec![Token::ProcessingInstruction {
+                target: "p".into(),
+                value: "d".into(),
+            }]),
+            (0usize..3)
+                .prop_map(|n| vec![Token::begin_element(["a", "b", "c"][n]), Token::EndElement]),
+        ];
+        leaf.prop_recursive(4, 40, 4, |inner| {
+            (0usize..3, 0usize..3, proptest::collection::vec(inner, 0..4)).prop_map(
+                |(n, attrs, children)| {
+                    let mut out = vec![Token::begin_element(["a", "b", "c"][n])];
+                    for k in 0..attrs {
+                        out.push(Token::begin_attribute(["k", "l"][k % 2], "v"));
+                        out.push(Token::EndAttribute);
+                    }
+                    out.extend(children.into_iter().flatten());
+                    out.push(Token::EndElement);
+                    out
+                },
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        // The run column against the one-run table: a sequence cut into
+        // ranges anywhere (one-token and id-less ranges included) answers
+        // every per-node question exactly as the same tokens in one
+        // fragment, and regenerates each node's id from its own range.
+        #[test]
+        fn ranges_answer_like_one_fragment(
+            forest in proptest::collection::vec(tree(), 1..4),
+            cuts in proptest::collection::vec(any::<usize>(), 0..12),
+            first_id in 1u64..1000,
+        ) {
+            let toks: Vec<Token> = forest.into_iter().flatten().collect();
+            let mut at: Vec<usize> = cuts.iter().map(|c| 1 + c % toks.len()).collect();
+            at.push(toks.len());
+            at.sort_unstable();
+            at.dedup();
+            // Each range starts at the id after the ids of every token
+            // before it; `want_ids` numbers the nodes the same way.
+            let (mut ranges, mut want_ids) = (Vec::new(), Vec::new());
+            let (mut from, mut next_id) = (0, first_id);
+            for (i, &to) in at.iter().enumerate() {
+                let part = toks[from..to].to_vec();
+                let start = next_id;
+                for tok in &part {
+                    if tok.consumes_id() {
+                        want_ids.push(next_id);
+                        next_id += 1;
+                    }
+                }
+                prop_assert_eq!(next_id - start, axs_xdm::count_ids(&part) as u64);
+                ranges.push(Arc::new(RangeData::new(i as u64, NodeId(start), part)));
+                from = to;
+            }
+            let one = NodeTable::from_tokens(&toks);
+            let cut = NodeTable::from_ranges(ranges);
+            prop_assert_eq!(one.len(), cut.len());
+            prop_assert_eq!(one.len(), want_ids.len());
+            for n in 0..one.len() as u32 {
+                prop_assert_eq!(one.begin_token(n), cut.begin_token(n));
+                prop_assert!(one.tokens(n).eq(cut.tokens(n)), "tokens of node {}", n);
+                prop_assert_eq!(one.string_value(n), cut.string_value(n));
+                prop_assert_eq!(one.subtree_end(n), cut.subtree_end(n));
+                prop_assert_eq!(cut.node_id(n), Some(NodeId(want_ids[n as usize])));
+            }
+        }
     }
 }

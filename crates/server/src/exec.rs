@@ -112,6 +112,42 @@ fn put_rendered<'a>(
     Ok(())
 }
 
+/// A FLWOR answer written as it is evaluated: each row is serialized
+/// straight into its own `More` frame's payload as a wire string, the way
+/// `put_rendered` writes a query match.
+struct RowFrames {
+    id: u64,
+    op: u8,
+    ser: StreamSerializer,
+    /// The open row's payload: its length prefix, then its text so far.
+    payload: Vec<u8>,
+    frames: Vec<Frame>,
+}
+
+impl axs_xquery::RowSink for RowFrames {
+    type Error = ExecError;
+
+    fn token(&mut self, token: &Token) -> Result<(), ExecError> {
+        if self.payload.is_empty() {
+            put_u32(&mut self.payload, 0);
+        }
+        self.ser.write_token_into(token, &mut self.payload)?;
+        Ok(())
+    }
+
+    fn end_row(&mut self) -> Result<(), ExecError> {
+        if self.payload.is_empty() {
+            put_u32(&mut self.payload, 0);
+        }
+        self.ser.finish_item()?;
+        let len = (self.payload.len() - 4) as u32;
+        self.payload[..4].copy_from_slice(&len.to_le_bytes());
+        let p = std::mem::take(&mut self.payload);
+        self.frames.push(Frame::more(self.id, self.op, p));
+        Ok(())
+    }
+}
+
 /// What one dispatched request produced.
 pub(crate) struct DispatchOutcome {
     /// Response frames, in write order (zero or more `More`, one final).
@@ -631,18 +667,18 @@ impl Engine {
                 r.finish()?;
                 let q = axs_xquery::parse_flwor(&text)
                     .map_err(|e| ExecError::new(ErrorCode::Parse, e.to_string()))?;
-                let rows = axs_xquery::evaluate_flwor(view, &q)?;
-                let mut frames = Vec::with_capacity(rows.len() + 1);
-                let mut ser = StreamSerializer::new(SerializeOptions::default());
-                for row in &rows {
-                    let mut p = Vec::new();
-                    put_rendered(&mut p, &mut ser, row)?;
-                    frames.push(Frame::more(id, op, p));
-                }
+                let mut rows = RowFrames {
+                    id,
+                    op,
+                    ser: StreamSerializer::new(SerializeOptions::default()),
+                    payload: Vec::new(),
+                    frames: Vec::new(),
+                };
+                let count = axs_xquery::evaluate_flwor_into(view, &q, &mut rows)?;
                 let mut fin = Vec::new();
-                put_u64(&mut fin, rows.len() as u64);
-                frames.push(Frame::done(id, op, fin));
-                frames
+                put_u64(&mut fin, count as u64);
+                rows.frames.push(Frame::done(id, op, fin));
+                rows.frames
             }
             ReadNode => {
                 let node = NodeId(r.u64()?);

@@ -31,6 +31,8 @@ pub mod faulty;
 pub mod page;
 pub mod pool;
 pub mod store;
+#[cfg(test)]
+mod testdir;
 pub mod wal;
 
 pub use block::{BLOCK_HEADER_LEN, SLOT_LEN};

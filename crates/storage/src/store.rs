@@ -188,6 +188,7 @@ impl PageStore for FilePageStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testdir::TempDir;
 
     fn exercise(store: &dyn PageStore) {
         let ps = store.page_size();
@@ -230,8 +231,7 @@ mod tests {
 
     #[test]
     fn file_store_basics() {
-        let dir = std::env::temp_dir().join(format!("axs-store-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("store-basics");
         let path = dir.join("basics.pages");
         let _ = std::fs::remove_file(&path);
         exercise(&FilePageStore::open(&path, 1024).unwrap());
@@ -240,8 +240,7 @@ mod tests {
 
     #[test]
     fn file_store_persists_across_reopen() {
-        let dir = std::env::temp_dir().join(format!("axs-store-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("store-reopen");
         let path = dir.join("reopen.pages");
         let _ = std::fs::remove_file(&path);
         {
@@ -265,8 +264,7 @@ mod tests {
 
     #[test]
     fn file_store_rejects_misaligned_file() {
-        let dir = std::env::temp_dir().join(format!("axs-store-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("store-misaligned");
         let path = dir.join("misaligned.pages");
         std::fs::write(&path, [0u8; 100]).unwrap();
         assert!(matches!(
@@ -278,8 +276,7 @@ mod tests {
 
     #[test]
     fn repair_tail_truncates_partial_pages_only() {
-        let dir = std::env::temp_dir().join(format!("axs-store-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("store-repair");
         let path = dir.join("repair.pages");
         let mut bytes = vec![7u8; 512];
         bytes.extend_from_slice(&[9u8; 100]); // torn second page

@@ -590,15 +590,38 @@ fn parse_record(buf: &[u8], page_size: usize) -> Option<ParsedRecord<'_>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testdir::TempDir;
     use std::path::PathBuf;
 
     const PS: usize = 256;
 
-    fn temp_wal(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("axs-wal-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join("wal.log")
+    /// A log path in its own scratch directory, which goes when the
+    /// returned guard drops.
+    struct TempWal {
+        path: PathBuf,
+        _dir: TempDir,
+    }
+
+    impl std::ops::Deref for TempWal {
+        type Target = Path;
+
+        fn deref(&self) -> &Path {
+            &self.path
+        }
+    }
+
+    impl AsRef<Path> for TempWal {
+        fn as_ref(&self) -> &Path {
+            &self.path
+        }
+    }
+
+    fn temp_wal(tag: &str) -> TempWal {
+        let dir = TempDir::new(&format!("wal-{tag}"));
+        TempWal {
+            path: dir.join("wal.log"),
+            _dir: dir,
+        }
     }
 
     fn image(fill: u8) -> Vec<u8> {

@@ -65,19 +65,41 @@ impl CompareOp {
     /// XPath 1.0 comparison semantics for one candidate value: `=`/`!=`
     /// compare as strings (falling back to numbers when both sides parse);
     /// the ordering operators compare as numbers and are false when either
-    /// side is not numeric.
-    pub fn test(self, value: &str, literal: &str) -> bool {
+    /// side is not numeric. The literal's number was parsed when it was
+    /// compiled; the value is parsed only when the literal is numeric.
+    pub fn test(self, value: &str, literal: &Literal) -> bool {
         let nums = || -> Option<(f64, f64)> {
-            Some((value.trim().parse().ok()?, literal.trim().parse().ok()?))
+            let b = literal.number?;
+            Some((value.trim().parse().ok()?, b))
         };
         match self {
-            CompareOp::Eq => value == literal || nums().is_some_and(|(a, b)| a == b),
-            CompareOp::Ne => value != literal && nums().is_none_or(|(a, b)| a != b),
+            CompareOp::Eq => value == literal.text || nums().is_some_and(|(a, b)| a == b),
+            CompareOp::Ne => value != literal.text && nums().is_none_or(|(a, b)| a != b),
             CompareOp::Lt => nums().is_some_and(|(a, b)| a < b),
             CompareOp::Le => nums().is_some_and(|(a, b)| a <= b),
             CompareOp::Gt => nums().is_some_and(|(a, b)| a > b),
             CompareOp::Ge => nums().is_some_and(|(a, b)| a >= b),
         }
+    }
+}
+
+/// The right-hand side of a value comparison, classified once when it is
+/// compiled: its text and, when that text parses as a number (surrounding
+/// whitespace ignored), the number.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Literal {
+    /// The literal text, as written between the quotes.
+    pub text: String,
+    /// The text as a number, when it is one.
+    pub number: Option<f64>,
+}
+
+impl Literal {
+    /// Classifies `text`.
+    pub fn new(text: impl Into<String>) -> Literal {
+        let text = text.into();
+        let number = text.trim().parse().ok();
+        Literal { text, number }
     }
 }
 
@@ -91,7 +113,7 @@ pub enum Predicate {
     /// `[relpath <op> 'literal']` — some match's string value compares true
     /// against the literal (`=`, `!=`, `<`, `<=`, `>`, `>=`; bare numbers
     /// may omit the quotes).
-    PathCompare(XPath, CompareOp, String),
+    PathCompare(XPath, CompareOp, Literal),
     /// `[last()]` — the last candidate per context.
     Last,
 }
@@ -142,7 +164,7 @@ impl fmt::Display for XPath {
                     Predicate::Position(n) => write!(f, "[{n}]")?,
                     Predicate::Exists(path) => write!(f, "[{path}]")?,
                     Predicate::PathCompare(path, op, v) => {
-                        write!(f, "[{path}{}'{v}']", op.symbol())?
+                        write!(f, "[{path}{}'{}']", op.symbol(), v.text)?
                     }
                     Predicate::Last => f.write_str("[last()]")?,
                 }

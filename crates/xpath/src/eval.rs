@@ -8,7 +8,13 @@
 //! store builds one per call from the ranges it decodes. Node indexes are
 //! in document order by construction, so a step's result set is sorted
 //! and deduplicated as plain integers, and tokens are copied only where a
-//! caller asks for a match's subtree.
+//! caller asks for a match's subtree. A step looks its name up once, and a
+//! descendant name step reads only the name column until a name matches.
+//! A predicate tests each candidate in place through a [`Probe`]: the
+//! relative path's last step walks the attribute or child run below each
+//! context and stops at the first node that passes, comparing borrowed
+//! string values with a literal that was classified (text, number) when it
+//! was compiled.
 
 use crate::ast::{Axis, NodeTest, Predicate, Step, XPath};
 use axs_core::{NodeKind, NodeTable, ReadView, StoreError};
@@ -40,90 +46,259 @@ pub fn evaluate_at(table: &NodeTable<'_>, ctx: u32, path: &XPath) -> Vec<u32> {
 
 /// Evaluates `path` from one context node (`None` = virtual document root).
 fn eval_path(t: &NodeTable<'_>, ctx: Option<u32>, path: &XPath) -> Vec<u32> {
-    let Some((first, rest)) = path.steps.split_first() else {
-        return Vec::new();
-    };
-    let mut nodes = eval_step(t, ctx, first);
-    for step in rest {
+    eval_steps(t, ctx, &path.steps)
+}
+
+/// Evaluates `steps` from one context node, in document order.
+fn eval_steps(t: &NodeTable<'_>, ctx: Option<u32>, steps: &[Step]) -> Vec<u32> {
+    let mut nodes = Vec::new();
+    let mut contexts = Vec::new();
+    for (i, step) in steps.iter().enumerate() {
+        // Each step's name is looked up once, not once per context.
+        let Some(test) = Test::new(t, step) else {
+            return Vec::new();
+        };
+        if i == 0 {
+            eval_step(t, ctx, &test, &mut nodes);
+            continue;
+        }
+        std::mem::swap(&mut nodes, &mut contexts);
+        nodes.clear();
+        for &c in &contexts {
+            eval_step(t, Some(c), &test, &mut nodes);
+        }
+        if contexts.len() > 1 {
+            nodes.sort_unstable();
+            nodes.dedup();
+        }
         if nodes.is_empty() {
             break;
         }
-        let mut next = Vec::new();
-        for &n in &nodes {
-            next.extend(eval_step(t, Some(n), step));
-        }
-        next.sort_unstable();
-        next.dedup();
-        nodes = next;
     }
     nodes
 }
 
-/// One step from one context: axis, node test, then predicates, in
-/// document order.
-fn eval_step(t: &NodeTable<'_>, ctx: Option<u32>, step: &Step) -> Vec<u32> {
-    let principal = if step.axis == Axis::Attribute {
-        NodeKind::Attribute
-    } else {
-        NodeKind::Element
-    };
-    let name = match &step.test {
-        NodeTest::Name(name) => match t.name_id(name) {
-            Some(id) => Some(id),
-            None => return Vec::new(),
-        },
-        _ => None,
-    };
-    let test = |n: u32| {
+/// A step's node test resolved against one table: a name test carries the
+/// table's id for the name, so candidates compare integers.
+struct Test<'p> {
+    step: &'p Step,
+    principal: NodeKind,
+    /// The name id of a name test (unused by the other tests).
+    name: u32,
+}
+
+impl<'p> Test<'p> {
+    /// `None` when the step tests a name no node of the table carries, so
+    /// it selects nothing.
+    fn new(t: &NodeTable<'_>, step: &'p Step) -> Option<Test<'p>> {
+        let principal = if step.axis == Axis::Attribute {
+            NodeKind::Attribute
+        } else {
+            NodeKind::Element
+        };
+        let name = match &step.test {
+            NodeTest::Name(name) => t.name_id(name)?,
+            _ => u32::MAX,
+        };
+        Some(Test {
+            step,
+            principal,
+            name,
+        })
+    }
+
+    fn matches(&self, t: &NodeTable<'_>, n: u32) -> bool {
         let kind = t.kind(n);
-        match step.test {
-            NodeTest::Name(_) => kind == principal && t.name_of(n) == name,
-            NodeTest::Wildcard => kind == principal,
+        match self.step.test {
+            NodeTest::Name(_) => kind == self.principal && t.name_of(n) == Some(self.name),
+            NodeTest::Wildcard => kind == self.principal,
             NodeTest::Text => kind == NodeKind::Text,
             NodeTest::Comment => kind == NodeKind::Comment,
-            NodeTest::AnyNode => kind != NodeKind::Attribute || step.axis == Axis::Attribute,
+            NodeTest::AnyNode => kind != NodeKind::Attribute || self.step.axis == Axis::Attribute,
         }
-    };
-    let mut out: Vec<u32> = match (step.axis, ctx) {
-        (Axis::Child, None) => t.roots().iter().copied().filter(|&n| test(n)).collect(),
-        (Axis::Child, Some(c)) => t.children(c).iter().copied().filter(|&n| test(n)).collect(),
+    }
+}
+
+/// Walks the nodes the step's axis and node test select from `ctx`, in
+/// document order, until `f` accepts one; true when it did. Predicates are
+/// not applied.
+fn find_candidate(
+    t: &NodeTable<'_>,
+    ctx: Option<u32>,
+    test: &Test<'_>,
+    mut f: impl FnMut(u32) -> bool,
+) -> bool {
+    let mut hit = |n: u32| test.matches(t, n) && f(n);
+    match (test.step.axis, ctx) {
+        (Axis::Child, None) => t.roots().iter().any(|&n| hit(n)),
+        (Axis::Child, Some(c)) => t.children(c).iter().any(|&n| hit(n)),
         (Axis::Descendant, _) => {
             let (from, to) = match ctx {
                 Some(c) => (c + 1, t.subtree_end(c)),
                 None => (0, t.len() as u32),
             };
-            // Off the attribute axis every test rejects attributes.
-            (from..to).filter(|&n| test(n)).collect()
+            match test.step.test {
+                // A name test reads only the name column until a name
+                // matches.
+                NodeTest::Name(_) => t.named(from, to, test.name).any(hit),
+                // Off the attribute axis every test rejects attributes.
+                _ => (from..to).any(hit),
+            }
         }
-        (Axis::Attribute, Some(c)) => t
-            .attributes(c)
-            .iter()
-            .copied()
-            .filter(|&n| test(n))
-            .collect(),
-        (Axis::SelfAxis, Some(c)) => Some(c).filter(|&n| test(n)).into_iter().collect(),
-        (Axis::Parent, Some(c)) => t.parent(c).filter(|&n| test(n)).into_iter().collect(),
-        (Axis::Attribute | Axis::SelfAxis | Axis::Parent, None) => Vec::new(),
-    };
-    for p in &step.predicates {
-        out = match p {
-            Predicate::Position(k) => out.get(k.wrapping_sub(1)).copied().into_iter().collect(),
-            Predicate::Last => out.last().copied().into_iter().collect(),
-            Predicate::Exists(rel) => out
-                .into_iter()
-                .filter(|&c| !eval_path(t, Some(c), rel).is_empty())
-                .collect(),
-            Predicate::PathCompare(rel, op, lit) => out
-                .into_iter()
-                .filter(|&c| {
-                    eval_path(t, Some(c), rel)
-                        .into_iter()
-                        .any(|m| op.test(&t.string_value(m), lit))
-                })
-                .collect(),
-        };
+        (Axis::Attribute, Some(c)) => t.attributes(c).iter().any(|&n| hit(n)),
+        (Axis::SelfAxis, Some(c)) => hit(c),
+        (Axis::Parent, Some(c)) => t.parent(c).is_some_and(hit),
+        (Axis::Attribute | Axis::SelfAxis | Axis::Parent, None) => false,
     }
-    out
+}
+
+/// One step from one context: axis, node test, then predicates, appended to
+/// `out` in document order.
+fn eval_step(t: &NodeTable<'_>, ctx: Option<u32>, test: &Test<'_>, out: &mut Vec<u32>) {
+    let mark = out.len();
+    find_candidate(t, ctx, test, |n| {
+        out.push(n);
+        false
+    });
+    for p in &test.step.predicates {
+        match p {
+            Predicate::Position(k) => keep_one(out, mark, k.checked_sub(1)),
+            Predicate::Last => keep_one(out, mark, (out.len() - mark).checked_sub(1)),
+            Predicate::Exists(rel) => {
+                let probe = Probe::new(t, rel);
+                retain_from(out, mark, |c| probe.any(t, c, |_| true));
+            }
+            Predicate::PathCompare(rel, op, lit) => {
+                let probe = Probe::new(t, rel);
+                retain_from(out, mark, |c| {
+                    probe.any(t, c, |m| op.test(&t.string_value(m), lit))
+                });
+            }
+        }
+    }
+}
+
+/// Keeps only the candidate at offset `k` past `mark`, if there is one.
+fn keep_one(out: &mut Vec<u32>, mark: usize, k: Option<usize>) {
+    match k.map(|k| mark + k).filter(|&i| i < out.len()) {
+        Some(i) => {
+            out[mark] = out[i];
+            out.truncate(mark + 1);
+        }
+        None => out.truncate(mark),
+    }
+}
+
+/// Keeps the candidates past `mark` that `keep` accepts, in order.
+fn retain_from(out: &mut Vec<u32>, mark: usize, mut keep: impl FnMut(u32) -> bool) {
+    let mut kept = mark;
+    for i in mark..out.len() {
+        let c = out[i];
+        if keep(c) {
+            out[kept] = c;
+            kept += 1;
+        }
+    }
+    out.truncate(kept);
+}
+
+/// A relative path prepared against one table for testing many context
+/// nodes — a predicate over every candidate, a FLWOR clause over every
+/// binding. When the path's last step has no predicates, its name is
+/// looked up once and the step is walked in place below each context
+/// (for a one-step path such as `@id`, `qty` or `text()`, below the
+/// candidate itself): an attribute or child step reads the node's
+/// attribute or child run and stops at the first node that passes the
+/// test. A last step with predicates needs its whole candidate set, so
+/// such a path is evaluated in full.
+pub struct Probe<'p> {
+    rel: &'p XPath,
+    walk: Walk<'p>,
+}
+
+enum Walk<'p> {
+    /// The last step names a name the table lacks: the path reaches
+    /// nothing.
+    Nothing,
+    /// A predicate-free last step, walked in place below the contexts the
+    /// steps before it reach.
+    Last(Test<'p>),
+    /// A last step with predicates: evaluated and collected.
+    Collect,
+}
+
+impl<'p> Probe<'p> {
+    /// Prepares `rel` against `table`.
+    pub fn new(table: &NodeTable<'_>, rel: &'p XPath) -> Probe<'p> {
+        let walk = match rel.steps.last() {
+            Some(last) if last.predicates.is_empty() => {
+                Test::new(table, last).map_or(Walk::Nothing, Walk::Last)
+            }
+            _ => Walk::Collect,
+        };
+        Probe { rel, walk }
+    }
+
+    /// The contexts the steps before the last reach from `ctx`, when
+    /// there are such steps.
+    fn inner(&self, table: &NodeTable<'_>, ctx: u32) -> Option<Vec<u32>> {
+        let init = &self.rel.steps[..self.rel.steps.len() - 1];
+        (!init.is_empty()).then(|| eval_steps(table, Some(ctx), init))
+    }
+
+    /// True when some node the path reaches from `ctx` satisfies `hit`.
+    pub fn any(&self, table: &NodeTable<'_>, ctx: u32, mut hit: impl FnMut(u32) -> bool) -> bool {
+        match &self.walk {
+            Walk::Nothing => false,
+            Walk::Last(test) => match self.inner(table, ctx) {
+                None => find_candidate(table, Some(ctx), test, hit),
+                Some(contexts) => contexts
+                    .into_iter()
+                    .any(|c| find_candidate(table, Some(c), test, &mut hit)),
+            },
+            Walk::Collect => eval_path(table, Some(ctx), self.rel).into_iter().any(hit),
+        }
+    }
+
+    /// The first node, in document order, that the path reaches from `ctx`
+    /// and `hit` accepts.
+    pub fn find(
+        &self,
+        table: &NodeTable<'_>,
+        ctx: u32,
+        mut hit: impl FnMut(u32) -> bool,
+    ) -> Option<u32> {
+        match &self.walk {
+            Walk::Nothing => None,
+            // One context: the walk runs in document order.
+            Walk::Last(test) if self.rel.steps.len() == 1 => {
+                let mut found = None;
+                find_candidate(table, Some(ctx), test, |n| {
+                    found = Some(n).filter(|&n| hit(n));
+                    found.is_some()
+                });
+                found
+            }
+            _ => eval_path(table, Some(ctx), self.rel)
+                .into_iter()
+                .find(|&n| hit(n)),
+        }
+    }
+
+    /// Appends every node the path reaches from `ctx`, in document order
+    /// (what [`evaluate_at`] returns).
+    pub fn collect_into(&self, table: &NodeTable<'_>, ctx: u32, out: &mut Vec<u32>) {
+        match &self.walk {
+            Walk::Nothing => {}
+            Walk::Last(test) if self.rel.steps.len() == 1 => {
+                find_candidate(table, Some(ctx), test, |n| {
+                    out.push(n);
+                    false
+                });
+            }
+            _ => out.extend(eval_path(table, Some(ctx), self.rel)),
+        }
+    }
 }
 
 fn to_matches(table: &NodeTable<'_>, nodes: Vec<u32>) -> Vec<Match> {

@@ -28,8 +28,9 @@ pub mod ast;
 pub mod eval;
 pub mod parser;
 
-pub use ast::{Axis, CompareOp, NodeTest, Predicate, Step, XPath};
+pub use ast::{Axis, CompareOp, Literal, NodeTest, Predicate, Step, XPath};
 pub use eval::{
-    evaluate, evaluate_at, evaluate_from_roots, evaluate_store, evaluate_table, Match, StoreMatch,
+    evaluate, evaluate_at, evaluate_from_roots, evaluate_store, evaluate_table, Match, Probe,
+    StoreMatch,
 };
 pub use parser::{compile, XPathError};

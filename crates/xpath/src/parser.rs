@@ -1,6 +1,6 @@
 //! Hand-rolled parser for the XPath subset.
 
-use crate::ast::{Axis, CompareOp, NodeTest, Predicate, Step, XPath};
+use crate::ast::{Axis, CompareOp, Literal, NodeTest, Predicate, Step, XPath};
 use std::fmt;
 
 /// Compilation failure.
@@ -147,7 +147,7 @@ impl<'a> Parser<'a> {
             Some(op) => {
                 self.skip_ws();
                 let lit = self.parse_comparand()?;
-                Ok(Predicate::PathCompare(path, op, lit))
+                Ok(Predicate::PathCompare(path, op, Literal::new(lit)))
             }
             None => Ok(Predicate::Exists(path)),
         }
@@ -364,14 +364,15 @@ mod tests {
                     }]
                 },
                 CompareOp::Eq,
-                "x".into()
+                Literal::new("x")
             )
         );
         let p = compile(r#"/a/b[@id="7"]"#).unwrap();
         match &p.steps[1].predicates[0] {
             Predicate::PathCompare(rel, CompareOp::Eq, v) => {
                 assert_eq!(rel.steps[0].axis, Axis::Attribute);
-                assert_eq!(v, "7");
+                assert_eq!(v.text, "7");
+                assert_eq!(v.number, Some(7.0));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -396,7 +397,7 @@ mod tests {
         // Bare numbers allowed, including decimals and signs.
         let p = compile("/a[b>=2.5]").unwrap();
         match &p.steps[0].predicates[0] {
-            Predicate::PathCompare(_, _, lit) => assert_eq!(lit, "2.5"),
+            Predicate::PathCompare(_, _, lit) => assert_eq!(lit, &Literal::new("2.5")),
             other => panic!("unexpected {other:?}"),
         }
         assert!(compile("/a[b>]").is_err());

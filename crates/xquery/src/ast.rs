@@ -1,6 +1,6 @@
 //! FLWOR AST.
 
-use axs_xpath::{CompareOp, XPath};
+use axs_xpath::{CompareOp, Literal, XPath};
 
 /// A variable reference with an optional relative continuation:
 /// `$x`, `$x/rel/path`.
@@ -8,6 +8,9 @@ use axs_xpath::{CompareOp, XPath};
 pub struct VarPath {
     /// The referenced variable (without `$`).
     pub var: String,
+    /// The variable's slot in a binding: 0 for the `for` variable, `i` for
+    /// the `i`-th `let`.
+    pub slot: usize,
     /// Further navigation below the variable's value, when present.
     pub path: Option<XPath>,
 }
@@ -36,7 +39,7 @@ pub struct WhereClause {
     /// The tested value.
     pub path: VarPath,
     /// Comparison, when present.
-    pub compare: Option<(CompareOp, String)>,
+    pub compare: Option<(CompareOp, Literal)>,
 }
 
 /// `order by $v[/rel/path] [numeric] [descending]`.

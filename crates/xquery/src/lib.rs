@@ -32,5 +32,5 @@ pub mod eval;
 pub mod parser;
 
 pub use ast::{AttrPart, Constructor, FlworQuery, OrderBy, VarPath, WhereClause};
-pub use eval::evaluate_flwor;
+pub use eval::{evaluate_flwor, evaluate_flwor_into, RowSink};
 pub use parser::{parse_flwor, FlworError};

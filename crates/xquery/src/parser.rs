@@ -1,7 +1,7 @@
 //! Hand-rolled FLWOR parser.
 
 use crate::ast::{AttrPart, Constructor, FlworQuery, OrderBy, VarPath, WhereClause};
-use axs_xpath::{compile, CompareOp, XPath};
+use axs_xpath::{compile, CompareOp, Literal, XPath};
 use std::fmt;
 
 /// Parse failure.
@@ -24,7 +24,8 @@ impl std::error::Error for FlworError {}
 struct P<'a> {
     input: &'a str,
     pos: usize,
-    /// Variables in scope: the `for` variable plus `let` names.
+    /// Variables in scope, by slot: the `for` variable, then the `let`
+    /// names in order.
     scope: Vec<String>,
 }
 
@@ -124,7 +125,7 @@ impl<'a> P<'a> {
             return Err(self.err("expected a variable reference ($name)"));
         }
         let var = self.parse_name()?;
-        if !self.scope.contains(&var) {
+        let Some(slot) = self.scope.iter().position(|v| *v == var) else {
             return Err(self.err(format!(
                 "unknown variable ${var}; in scope: {}",
                 self.scope
@@ -133,13 +134,13 @@ impl<'a> P<'a> {
                     .collect::<Vec<_>>()
                     .join(", ")
             )));
-        }
+        };
         let path = if self.eat("/") {
             Some(self.parse_path_until(&['}', '=', '!', '<', '>', ']', ')'])?)
         } else {
             None
         };
-        Ok(VarPath { var, path })
+        Ok(VarPath { var, slot, path })
     }
 
     fn parse_where(&mut self) -> Result<WhereClause, FlworError> {
@@ -165,7 +166,7 @@ impl<'a> P<'a> {
             Some(op) => {
                 self.skip_ws();
                 let lit = self.parse_literal_or_number()?;
-                Some((op, lit))
+                Some((op, Literal::new(lit)))
             }
         };
         Ok(WhereClause { path, compare })
@@ -439,7 +440,7 @@ mod tests {
         assert_eq!(q.where_clause, None);
         assert_eq!(q.order_by, None);
         assert!(
-            matches!(q.ret, Constructor::Splice(VarPath { ref var, path: None }) if var == "x")
+            matches!(q.ret, Constructor::Splice(VarPath { ref var, slot: 0, path: None }) if var == "x")
         );
     }
 
@@ -485,8 +486,13 @@ mod tests {
         assert_eq!(q.lets[0].0, "lines");
         assert_eq!(q.lets[0].1.var, "o");
         assert_eq!(q.lets[1].1.var, "lines");
-        assert_eq!(q.where_clause.unwrap().path.var, "lines");
-        assert!(matches!(q.ret, Constructor::Splice(VarPath { ref var, .. }) if var == "firstsku"));
+        assert_eq!((q.lets[0].1.slot, q.lets[1].1.slot), (0, 1));
+        let w = q.where_clause.unwrap();
+        assert_eq!((w.path.var.as_str(), w.path.slot), ("lines", 1));
+        assert!(matches!(
+            q.ret,
+            Constructor::Splice(VarPath { ref var, slot: 2, .. }) if var == "firstsku"
+        ));
     }
 
     #[test]

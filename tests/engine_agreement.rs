@@ -160,7 +160,7 @@ mod three_way {
         "self::a",
         "self::*",
     ];
-    const PREDICATES: [&str; 10] = [
+    const PREDICATES: [&str; 16] = [
         "",
         "[1]",
         "[2]",
@@ -171,7 +171,16 @@ mod three_way {
         "[@k>1]",
         "[text()='t']",
         "[c!='2']",
+        "[@k='2']",
+        "[@k=2]",
+        "[@k='02']",
+        "[@k='x']",
+        "[b!='t']",
+        "[@k<'t']",
     ];
+    /// Values a `where` compares `@k` with: the generated ones, a padded
+    /// number and one no tree holds.
+    const WHERE_VALUES: [&str; 5] = ["1", "2", "t", "02", "x"];
 
     /// A path of one to three steps over the grammar's shapes.
     fn path() -> impl Strategy<Value = String> {
@@ -262,6 +271,44 @@ mod three_way {
         Ok(())
     }
 
+    /// On a pinned snapshot, `for $x in P where $x/@k = 'v' return { $x }`
+    /// returns exactly the subtrees `P[@k='v']` matches, and the same for a
+    /// child comparison, where a binding can have several `b` items.
+    fn assert_where_agrees(
+        store: &XmlStore,
+        paths: &[(String, usize)],
+    ) -> Result<(), TestCaseError> {
+        let pin = store.epoch_registry().pin().unwrap();
+        for (text, v) in paths {
+            // `..` takes no predicate; its parents are the same nodes.
+            let p = if text.ends_with("..") {
+                format!("{text}/self::node()")
+            } else {
+                text.clone()
+            };
+            let v = WHERE_VALUES[*v];
+            for operand in ["@k", "b"] {
+                let predicate = format!("{p}[{operand}='{v}']");
+                let via_predicate: Vec<Vec<Token>> =
+                    evaluate_store(&*pin, &compile(&predicate).unwrap())
+                        .unwrap()
+                        .into_iter()
+                        .map(|(_, t)| t)
+                        .collect();
+                let flwor = format!("for $x in {p} where $x/{operand} = '{v}' return {{ $x }}");
+                let via_where = evaluate_flwor(&*pin, &parse_flwor(&flwor).unwrap()).unwrap();
+                prop_assert_eq!(
+                    &via_where,
+                    &via_predicate,
+                    "{} against {}",
+                    flwor,
+                    predicate
+                );
+            }
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
         #[test]
@@ -285,6 +332,28 @@ mod three_way {
             for w in &writes {
                 apply(&mut store, root, w);
                 assert_agree(&store, &paths)?;
+            }
+        }
+
+        #[test]
+        fn flwor_where_agrees_with_the_predicate_on_a_snapshot(
+            children in proptest::collection::vec(tree(), 1..5),
+            writes in proptest::collection::vec(write(), 0..5),
+            paths in proptest::collection::vec((path(), 0..WHERE_VALUES.len()), 4..8),
+        ) {
+            let mut store = StoreBuilder::new()
+                .policy(IndexingPolicy::RangeOnly { target_range_bytes: 64 })
+                .build()
+                .unwrap();
+            let mut doc = vec![Token::begin_element("r")];
+            doc.extend(children.into_iter().flatten());
+            doc.push(Token::EndElement);
+            let root = store.bulk_insert(doc).unwrap().start;
+            store.commit().unwrap();
+            assert_where_agrees(&store, &paths)?;
+            for w in &writes {
+                apply(&mut store, root, w);
+                assert_where_agrees(&store, &paths)?;
             }
         }
     }
