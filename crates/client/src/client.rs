@@ -397,32 +397,54 @@ impl Client {
     pub fn query(&mut self, path: &str) -> Result<Vec<Match>, ClientError> {
         let mut p = Vec::with_capacity(4 + path.len());
         put_str(&mut p, path);
-        let frames = self.roundtrip_stream(OpCode::Query, p)?;
-        let mut out = Vec::with_capacity(frames.len().saturating_sub(1));
-        for frame in &frames[..frames.len() - 1] {
-            let mut r = Reader::new(&frame.payload);
+        self.rows(OpCode::Query, p, |r| {
             let has_id = r.u8()? != 0;
             let id = r.u64()?;
             let xml = r.str()?;
-            r.finish()?;
-            out.push(Match {
+            Ok(Match {
                 id: has_id.then_some(id),
                 xml,
-            });
-        }
-        Ok(out)
+            })
+        })
     }
 
     /// Evaluates a FLWOR query, collecting the streamed rows.
     pub fn flwor(&mut self, query: &str) -> Result<Vec<String>, ClientError> {
         let mut p = Vec::with_capacity(4 + query.len());
         put_str(&mut p, query);
-        let frames = self.roundtrip_stream(OpCode::Flwor, p)?;
-        let mut out = Vec::with_capacity(frames.len().saturating_sub(1));
-        for frame in &frames[..frames.len() - 1] {
+        self.rows(OpCode::Flwor, p, |r| r.str())
+    }
+
+    /// Runs a `Query` or `Flwor` request and decodes its packed answer:
+    /// every row of each `More` payload, read by `row`, then the `Done`
+    /// frame's row count, which must match the rows decoded.
+    fn rows<T>(
+        &mut self,
+        opcode: OpCode,
+        payload: Vec<u8>,
+        mut row: impl FnMut(&mut Reader<'_>) -> Result<T, WireError>,
+    ) -> Result<Vec<T>, ClientError> {
+        let frames = self.roundtrip_stream(opcode, payload)?;
+        let (done, packed) = frames.split_last().expect("a stream ends in Done");
+        let mut out = Vec::new();
+        for frame in packed {
             let mut r = Reader::new(&frame.payload);
-            out.push(r.str()?);
-            r.finish()?;
+            while !r.at_end() {
+                out.push(row(&mut r)?);
+            }
+        }
+        let mut r = Reader::new(&done.payload);
+        let count = r.u64()?;
+        r.finish()?;
+        if count != out.len() as u64 {
+            return Err(WireError {
+                message: format!(
+                    "{} answer: {} rows decoded, Done counts {count}",
+                    opcode.name(),
+                    out.len()
+                ),
+            }
+            .into());
         }
         Ok(out)
     }

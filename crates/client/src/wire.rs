@@ -18,6 +18,16 @@
 //! A connection starts with an 8-byte hello in each direction
 //! (`"AXSD"` + protocol version + three reserved zero bytes); version
 //! mismatches fail fast instead of mis-decoding frames.
+//!
+//! ## Streamed answers
+//!
+//! `Query`, `Flwor` and `ReadAll` answer with zero or more `More` frames
+//! closed by one `Done` frame. A `Query` or `Flwor` `More` payload packs
+//! whole rows back to back; the server cuts it at the first row end at or
+//! past 64 KiB, so no row is split across frames and a many-row answer
+//! costs a frame per 64 KiB, not a frame per row. A row that alone
+//! exceeds [`FRAME_MAX`] is refused with [`ErrorCode::TooLarge`] before any
+//! frame goes out. `ReadAll` payloads are raw UTF-8 cut every 64 KiB.
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -26,8 +36,9 @@ use std::io::{self, Read, Write};
 pub const MAGIC: [u8; 4] = *b"AXSD";
 
 /// Protocol version carried in the hello. Version 2 added the `u16`
-/// store id to the frame header and the catalog opcodes (25–28).
-pub const VERSION: u8 = 2;
+/// store id to the frame header and the catalog opcodes (25–28); version 3
+/// packs `Query` and `Flwor` rows several to a `More` frame.
+pub const VERSION: u8 = 3;
 
 /// Hard cap on one frame's body, guarding both sides against allocating
 /// for garbage or hostile length prefixes.
@@ -46,11 +57,12 @@ pub enum OpCode {
     /// Bulk-append an XML document or fragment: `str xml` → `u64 start,
     /// u64 end` (allocated node-id interval).
     BulkLoad = 2,
-    /// Evaluate an XPath: `str path` → stream of `u8 has_id, u64 id,
-    /// str xml` (`More`), closed by `u64 count` (`Done`).
+    /// Evaluate an XPath: `str path` → `More` frames, each a packed
+    /// sequence of `u8 has_id, u64 id, str xml` rows, closed by
+    /// `u64 count` (`Done`), the number of rows.
     Query = 3,
-    /// Evaluate a FLWOR query: `str query` → stream of `str xml` rows
-    /// (`More`), closed by `u64 count` (`Done`).
+    /// Evaluate a FLWOR query: `str query` → `More` frames, each a packed
+    /// sequence of `str xml` rows, closed by `u64 count` (`Done`).
     Flwor = 4,
     /// Read one node's subtree: `u64 id` → `str xml`.
     ReadNode = 5,

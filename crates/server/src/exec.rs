@@ -44,11 +44,13 @@ use axs_xml::serializer::SerializeError;
 use axs_xml::{parse_document, parse_fragment, ParseOptions, SerializeOptions, StreamSerializer};
 use std::sync::Arc;
 
-/// Streamed `ReadAll` chunk size: big enough to amortize framing, small
+/// The cut of a streamed answer's `More` payloads: `ReadAll` chunks hold
+/// exactly this many bytes, and packed `Query`/`Flwor` rows are cut at the
+/// first row end at or past it. Big enough to amortize framing, small
 /// enough that slow clients see steady progress.
-pub(crate) const READ_ALL_CHUNK: usize = 64 * 1024;
+pub(crate) const STREAM_CHUNK: usize = 64 * 1024;
 
-/// The `ReadAll` body: the view serialized straight into `READ_ALL_CHUNK`
+/// The `ReadAll` body: the view serialized straight into `STREAM_CHUNK`
 /// payloads — every one full but the last, split on byte boundaries (the
 /// client re-validates UTF-8 over the whole accumulation) — plus the token
 /// count. Tokens are borrowed from the view's decoded ranges, never cloned,
@@ -57,12 +59,12 @@ pub(crate) const READ_ALL_CHUNK: usize = 64 * 1024;
 fn read_all_chunks<V: ReadView>(view: &V) -> Result<(Vec<Vec<u8>>, u64), ExecError> {
     let mut ser = StreamSerializer::new(SerializeOptions::default());
     let mut chunks = Vec::new();
-    let mut chunk = Vec::with_capacity(READ_ALL_CHUNK);
+    let mut chunk = Vec::with_capacity(STREAM_CHUNK);
     let mut tokens = 0u64;
     view.scan_ranges(|data| {
         for tok in &data.tokens {
             ser.write_token_into(tok, &mut chunk)?;
-            if chunk.len() >= READ_ALL_CHUNK {
+            if chunk.len() >= STREAM_CHUNK {
                 cut_full_chunks(&mut chunk, &mut chunks);
             }
         }
@@ -76,20 +78,20 @@ fn read_all_chunks<V: ReadView>(view: &V) -> Result<(Vec<Vec<u8>>, u64), ExecErr
     Ok((chunks, tokens))
 }
 
-/// Moves every full `READ_ALL_CHUNK` at the front of `chunk` to `chunks`
+/// Moves every full `STREAM_CHUNK` at the front of `chunk` to `chunks`
 /// and leaves the remainder, shorter than a chunk, open in `chunk`. Only
 /// the bytes past the first chunk are copied, and a chunk that a long
 /// token grew is shrunk back before it is kept.
 fn cut_full_chunks(chunk: &mut Vec<u8>, chunks: &mut Vec<Vec<u8>>) {
-    let full_end = chunk.len() - chunk.len() % READ_ALL_CHUNK;
-    let mut rest = Vec::with_capacity(READ_ALL_CHUNK);
+    let full_end = chunk.len() - chunk.len() % STREAM_CHUNK;
+    let mut rest = Vec::with_capacity(STREAM_CHUNK);
     rest.extend_from_slice(&chunk[full_end..]);
-    let more: Vec<Vec<u8>> = chunk[READ_ALL_CHUNK..full_end]
-        .chunks_exact(READ_ALL_CHUNK)
+    let more: Vec<Vec<u8>> = chunk[STREAM_CHUNK..full_end]
+        .chunks_exact(STREAM_CHUNK)
         .map(<[u8]>::to_vec)
         .collect();
-    chunk.truncate(READ_ALL_CHUNK);
-    chunk.shrink_to(READ_ALL_CHUNK);
+    chunk.truncate(STREAM_CHUNK);
+    chunk.shrink_to(STREAM_CHUNK);
     chunks.push(std::mem::replace(chunk, rest));
     chunks.extend(more);
 }
@@ -112,38 +114,91 @@ fn put_rendered<'a>(
     Ok(())
 }
 
-/// A FLWOR answer written as it is evaluated: each row is serialized
-/// straight into its own `More` frame's payload as a wire string, the way
-/// `put_rendered` writes a query match.
+/// A `Query` or `Flwor` answer, packed as it is evaluated: rows are
+/// serialized back to back into the open `More` payload, and the payload
+/// is cut into a frame at the first row end at or past `STREAM_CHUNK`, so
+/// no row is split across frames. A row of a chunk or more travels in a
+/// frame of its own: the rows before it go out without it, so only a row
+/// that alone exceeds `FRAME_MAX` is refused.
 struct RowFrames {
     id: u64,
     op: u8,
     ser: StreamSerializer,
-    /// The open row's payload: its length prefix, then its text so far.
+    /// Whole rows, then the open FLWOR row, if any.
     payload: Vec<u8>,
+    /// Where the open FLWOR row's `u32` length prefix is in `payload`.
+    open: Option<usize>,
     frames: Vec<Frame>,
+}
+
+impl RowFrames {
+    fn new(id: u64, op: u8) -> RowFrames {
+        RowFrames {
+            id,
+            op,
+            ser: StreamSerializer::new(SerializeOptions::default()),
+            payload: Vec::new(),
+            open: None,
+            frames: Vec::new(),
+        }
+    }
+
+    /// Called after each whole row, which starts at `start` in `payload`:
+    /// cuts the payload into frames once it holds a chunk.
+    fn row_written(&mut self, start: usize) {
+        if self.payload.len() < STREAM_CHUNK {
+            return;
+        }
+        if start > 0 && self.payload.len() - start >= STREAM_CHUNK {
+            let before = self.payload[..start].to_vec();
+            self.payload.drain(..start);
+            self.frames.push(Frame::more(self.id, self.op, before));
+        }
+        // Room for the row that will cross the next cut.
+        let next = Vec::with_capacity(STREAM_CHUNK + STREAM_CHUNK / 4);
+        let full = std::mem::replace(&mut self.payload, next);
+        self.frames.push(Frame::more(self.id, self.op, full));
+    }
+
+    /// The whole answer: the packed frames, the last partial payload, and
+    /// the `Done` frame carrying the row count.
+    fn finish(mut self, count: u64) -> Vec<Frame> {
+        if !self.payload.is_empty() {
+            self.frames
+                .push(Frame::more(self.id, self.op, self.payload));
+        }
+        self.frames
+            .push(Frame::done(self.id, self.op, count.to_le_bytes().to_vec()));
+        self.frames
+    }
+
+    /// The open FLWOR row's length-prefix offset, opening the row first
+    /// if none is open.
+    fn open_row(&mut self) -> usize {
+        *self.open.get_or_insert_with(|| {
+            let at = self.payload.len();
+            put_u32(&mut self.payload, 0);
+            at
+        })
+    }
 }
 
 impl axs_xquery::RowSink for RowFrames {
     type Error = ExecError;
 
     fn token(&mut self, token: &Token) -> Result<(), ExecError> {
-        if self.payload.is_empty() {
-            put_u32(&mut self.payload, 0);
-        }
+        self.open_row();
         self.ser.write_token_into(token, &mut self.payload)?;
         Ok(())
     }
 
     fn end_row(&mut self) -> Result<(), ExecError> {
-        if self.payload.is_empty() {
-            put_u32(&mut self.payload, 0);
-        }
+        let at = self.open_row();
+        self.open = None;
         self.ser.finish_item()?;
-        let len = (self.payload.len() - 4) as u32;
-        self.payload[..4].copy_from_slice(&len.to_le_bytes());
-        let p = std::mem::take(&mut self.payload);
-        self.frames.push(Frame::more(self.id, self.op, p));
+        let len = (self.payload.len() - at - 4) as u32;
+        self.payload[at..at + 4].copy_from_slice(&len.to_le_bytes());
+        self.row_written(at);
         Ok(())
     }
 }
@@ -470,8 +525,11 @@ impl Engine {
 
         let result_count = match inner_op {
             OpCode::ReadNode => 1,
-            // Streamed responses: one `More` frame per row.
-            _ => frames.len().saturating_sub(1) as u64,
+            // Packed rows: the `Done` frame carries the row count.
+            _ => {
+                let done = frames.last().expect("a response ends in its Done frame");
+                Reader::new(&done.payload).u64()?
+            }
         };
         let decisions: Vec<String> = slot.store.with_read(|s| {
             s.decision_log()
@@ -647,38 +705,25 @@ impl Engine {
                     .map_err(|e| ExecError::new(ErrorCode::Parse, e.to_string()))?;
                 let table = view.node_table()?;
                 let matches = axs_xpath::evaluate_table(&table, &compiled);
-                let mut frames = Vec::with_capacity(matches.len() + 1);
-                let mut ser = StreamSerializer::new(SerializeOptions::default());
+                let mut rows = RowFrames::new(id, op);
                 for &n in &matches {
                     let node = table.node_id(n);
-                    let mut p = Vec::new();
-                    p.push(u8::from(node.is_some()));
-                    put_u64(&mut p, node.map_or(0, NodeId::get));
-                    put_rendered(&mut p, &mut ser, table.tokens(n))?;
-                    frames.push(Frame::more(id, op, p));
+                    let start = rows.payload.len();
+                    rows.payload.push(u8::from(node.is_some()));
+                    put_u64(&mut rows.payload, node.map_or(0, NodeId::get));
+                    put_rendered(&mut rows.payload, &mut rows.ser, table.tokens(n))?;
+                    rows.row_written(start);
                 }
-                let mut fin = Vec::new();
-                put_u64(&mut fin, matches.len() as u64);
-                frames.push(Frame::done(id, op, fin));
-                frames
+                rows.finish(matches.len() as u64)
             }
             Flwor => {
                 let text = r.str()?;
                 r.finish()?;
                 let q = axs_xquery::parse_flwor(&text)
                     .map_err(|e| ExecError::new(ErrorCode::Parse, e.to_string()))?;
-                let mut rows = RowFrames {
-                    id,
-                    op,
-                    ser: StreamSerializer::new(SerializeOptions::default()),
-                    payload: Vec::new(),
-                    frames: Vec::new(),
-                };
+                let mut rows = RowFrames::new(id, op);
                 let count = axs_xquery::evaluate_flwor_into(view, &q, &mut rows)?;
-                let mut fin = Vec::new();
-                put_u64(&mut fin, count as u64);
-                rows.frames.push(Frame::done(id, op, fin));
-                rows.frames
+                rows.finish(count as u64)
             }
             ReadNode => {
                 let node = NodeId(r.u64()?);
@@ -968,7 +1013,7 @@ mod tests {
     use axs_xml::serialize;
 
     /// A document that serializes to exactly `len` bytes with `ch` (a 2-,
-    /// 3- or 4-byte character) straddling every `READ_ALL_CHUNK` boundary:
+    /// 3- or 4-byte character) straddling every `STREAM_CHUNK` boundary:
     /// a leading text run, 1 KiB `<t>` elements, a trailing text run. The
     /// lead puts every boundary mid-text.
     fn doc(len: usize, ch: char) -> String {
@@ -982,7 +1027,7 @@ mod tests {
         bytes.resize(len, b'a');
         let mut buf = [0u8; 4];
         let ch = ch.encode_utf8(&mut buf).as_bytes();
-        for boundary in (READ_ALL_CHUNK..len).step_by(READ_ALL_CHUNK) {
+        for boundary in (STREAM_CHUNK..len).step_by(STREAM_CHUNK) {
             let at = (boundary - 1).min(len - ch.len());
             bytes[at..at + ch.len()].copy_from_slice(ch);
         }
@@ -1001,16 +1046,16 @@ mod tests {
         );
         assert_eq!(chunks.concat(), xml.as_bytes());
         if let Some((last, full)) = chunks.split_last() {
-            assert!(full.iter().all(|c| c.len() == READ_ALL_CHUNK));
-            assert!(!last.is_empty() && last.len() <= READ_ALL_CHUNK);
+            assert!(full.iter().all(|c| c.len() == STREAM_CHUNK));
+            assert!(!last.is_empty() && last.len() <= STREAM_CHUNK);
         }
-        assert!(chunks.iter().all(|c| c.capacity() <= READ_ALL_CHUNK));
-        assert_eq!(chunks.len(), xml.len().div_ceil(READ_ALL_CHUNK));
+        assert!(chunks.iter().all(|c| c.capacity() <= STREAM_CHUNK));
+        assert_eq!(chunks.len(), xml.len().div_ceil(STREAM_CHUNK));
     }
 
     #[test]
     fn read_all_chunks_hold_every_boundary() {
-        const C: usize = READ_ALL_CHUNK;
+        const C: usize = STREAM_CHUNK;
         for len in [0, C - 1, C, C + 1, 2 * C - 1, 2 * C, 2 * C + 1] {
             for ch in ['é', '€', '😀'] {
                 let xml = doc(len, ch);
@@ -1035,7 +1080,7 @@ mod tests {
     /// (the largest a block supports) holds the token.
     #[test]
     fn read_all_chunks_cut_a_token_longer_than_two_chunks() {
-        const C: usize = READ_ALL_CHUNK;
+        const C: usize = STREAM_CHUNK;
         for ch in ['é', '€', '😀'] {
             let mut buf = [0u8; 4];
             let ch = ch.encode_utf8(&mut buf);
@@ -1062,6 +1107,139 @@ mod tests {
             let store = ConcurrentStore::new(StoreBuilder::new().storage(storage).build().unwrap());
             store.with_write_durable(|s| s.bulk_insert(tokens)).unwrap();
             store.with_read(|s| check(s, &xml));
+        }
+    }
+
+    /// An engine over one in-memory store holding `xml`.
+    fn engine(xml: &str) -> Engine {
+        let mut store = StoreBuilder::new().build().unwrap();
+        let tokens = parse_fragment(xml, ParseOptions::data_centric()).unwrap();
+        store.bulk_insert(tokens).unwrap();
+        store.commit().unwrap();
+        let catalog = Catalog::adopt(store, axs_catalog::CatalogConfig::default());
+        let metrics = Arc::new(EngineMetrics::new(None));
+        Engine::new(Arc::new(catalog), Arc::default(), metrics, false, true)
+    }
+
+    /// `text`'s answer: the `More` frames, each as its payload's size and
+    /// rows (a row as its xml, a `Query` row's id dropped), and the `Done`
+    /// count.
+    fn answer(engine: &Engine, opcode: OpCode, text: &str) -> (Vec<(usize, Vec<String>)>, u64) {
+        let mut p = Vec::new();
+        put_str(&mut p, text);
+        let frames = engine.dispatch(&Frame::request(1, opcode, p)).frames;
+        let (done, packed) = frames.split_last().unwrap();
+        assert_eq!(
+            done.status,
+            0,
+            "{opcode:?} {text}: {:?}",
+            done.decode_error()
+        );
+        let mut r = Reader::new(&done.payload);
+        let count = r.u64().unwrap();
+        r.finish().unwrap();
+        let frames = packed
+            .iter()
+            .map(|f| {
+                assert_eq!(f.status, 1, "a streamed row frame is More");
+                let mut r = Reader::new(&f.payload);
+                let mut rows = Vec::new();
+                while !r.at_end() {
+                    if opcode == OpCode::Query {
+                        assert_eq!(r.u8().unwrap(), 1, "a stored node has an id");
+                        r.u64().unwrap();
+                    }
+                    rows.push(r.str().unwrap());
+                }
+                (f.payload.len(), rows)
+            })
+            .collect();
+        (frames, count)
+    }
+
+    /// The packing rules: every row is whole in one frame; every `More`
+    /// frame but the last holds a chunk or more, unless a row of a chunk or
+    /// more follows it, and such a row travels alone.
+    fn check_packing(frames: &[(usize, Vec<String>)], count: u64, expected: &[String]) {
+        assert_eq!(count, expected.len() as u64, "Done carries the row count");
+        let rows: Vec<String> = frames.iter().flat_map(|(_, rows)| rows.clone()).collect();
+        assert_eq!(rows, expected, "the rows, whole and in order");
+        let long = |rows: &Vec<String>| rows.iter().any(|row| row.len() >= STREAM_CHUNK);
+        for (i, (bytes, rows)) in frames.iter().enumerate() {
+            assert!(!rows.is_empty(), "frame {i} carries rows");
+            if long(rows) {
+                assert_eq!(rows.len(), 1, "frame {i}: a long row travels alone");
+            } else if i + 1 < frames.len() && !long(&frames[i + 1].1) {
+                assert!(*bytes >= STREAM_CHUNK, "frame {i} is cut short: {bytes} B");
+            }
+        }
+    }
+
+    #[test]
+    fn many_rows_pack_into_full_frames_cut_on_row_boundaries() {
+        // Rows of 8 to 104 bytes, 20 000 of them: about twenty frames.
+        let rows: Vec<String> = (0..20_000)
+            .map(|i| format!("<e>{}</e>", "x".repeat(1 + i % 97)))
+            .collect();
+        let engine = engine(&format!("<r>{}</r>", rows.concat()));
+        for (opcode, text) in [
+            (OpCode::Query, "//e"),
+            (OpCode::Flwor, "for $x in //e return { $x }"),
+        ] {
+            let (frames, count) = answer(&engine, opcode, text);
+            assert!(frames.len() > 10, "{text}: {} frames", frames.len());
+            check_packing(&frames, count, &rows);
+        }
+    }
+
+    #[test]
+    fn a_row_of_a_chunk_or_more_stands_alone() {
+        let small = |i: usize| format!("<e>{i}</e>");
+        let big = format!(
+            "<big>{}</big>",
+            format!("<t>{}</t>", "y".repeat(1000)).repeat(70)
+        );
+        assert!(big.len() > STREAM_CHUNK);
+        // Short runs of small rows, so the frame before a long row is cut
+        // short; a long run, so a frame fills before one.
+        let mut rows: Vec<String> = (0..100).map(small).collect();
+        rows.push(big.clone());
+        rows.push(big.clone());
+        rows.extend((0..10_000).map(small));
+        rows.push(big);
+        rows.extend((0..10).map(small));
+        let engine = engine(&format!("<r>{}</r>", rows.concat()));
+        for (opcode, text) in [
+            (OpCode::Query, "/r/*"),
+            (OpCode::Flwor, "for $x in /r/* return { $x }"),
+        ] {
+            let (frames, count) = answer(&engine, opcode, text);
+            check_packing(&frames, count, &rows);
+            let alone = frames
+                .iter()
+                .filter(|(_, f)| f.len() == 1 && f[0].len() > STREAM_CHUNK);
+            assert_eq!(
+                alone.count(),
+                3,
+                "{text}: every long row in a frame of its own"
+            );
+        }
+    }
+
+    #[test]
+    fn an_empty_answer_is_a_lone_done_with_count_zero() {
+        let engine = engine("<r><e/></r>");
+        for (opcode, text) in [
+            (OpCode::Query, "//missing"),
+            (OpCode::Flwor, "for $x in //missing return { $x }"),
+        ] {
+            let mut p = Vec::new();
+            put_str(&mut p, text);
+            let frames = engine.dispatch(&Frame::request(1, opcode, p)).frames;
+            assert_eq!(
+                frames,
+                [Frame::done(1, opcode as u8, 0u64.to_le_bytes().to_vec())]
+            );
         }
     }
 }

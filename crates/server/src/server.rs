@@ -25,7 +25,7 @@
 //!   or session can touch it.
 
 use crate::config::ServerConfig;
-use crate::exec::{DispatchOutcome, Engine, READ_ALL_CHUNK};
+use crate::exec::{DispatchOutcome, Engine, STREAM_CHUNK};
 use crate::metrics::EngineMetrics;
 use crate::pool::{SubmitError, WorkerPool};
 use crate::stats::ServerStats;
@@ -48,7 +48,7 @@ const POLL_TICK: Duration = Duration::from_millis(100);
 /// The session writer's buffer: one full `ReadAll` frame. A
 /// response's frames are encoded into it back to back and reach the socket
 /// in writes of up to this size, with one flush at the response's end.
-const SESSION_WRITE_BUF: usize = 4 + wire::FRAME_HEADER + READ_ALL_CHUNK;
+const SESSION_WRITE_BUF: usize = 4 + wire::FRAME_HEADER + STREAM_CHUNK;
 
 /// Concurrent courtesy-reject threads (see [`reject_connection`]). Beyond
 /// this, over-cap connections are dropped outright so a connection flood
@@ -682,7 +682,7 @@ mod tests {
     fn full_read_all_chunks_go_out_one_write_each() {
         let req = Frame::request(2, OpCode::ReadAll, Vec::new());
         let mut frames: Vec<Frame> = (0..4u8)
-            .map(|i| Frame::more(2, req.opcode, vec![i; READ_ALL_CHUNK]))
+            .map(|i| Frame::more(2, req.opcode, vec![i; STREAM_CHUNK]))
             .collect();
         frames.push(Frame::done(2, req.opcode, 9u64.to_le_bytes().to_vec()));
         let sink = respond(&req, &frames);

@@ -681,8 +681,9 @@ fn read_all_streams_across_a_frame_boundary() {
 }
 
 /// A response one frame cannot carry — `ReadNode` of a subtree that
-/// serializes past `FRAME_MAX` — is answered with a typed `TooLarge`
-/// error, and the connection stays open and framed.
+/// serializes past `FRAME_MAX`, or a `Query` or `Flwor` row that does —
+/// is answered with a typed `TooLarge` error, and the connection stays
+/// open and framed.
 #[test]
 fn oversized_response_is_refused_and_the_connection_stays_open() {
     let handle = start_in_memory(ServerConfig::default());
@@ -702,6 +703,58 @@ fn oversized_response_is_refused_and_the_connection_stays_open() {
     );
     assert!(!c.is_poisoned());
     assert_eq!(c.read_node(2).unwrap(), element);
+    // Rows pack several to a frame, but a row is never split: one past
+    // `FRAME_MAX` is refused whole, before any frame goes out.
+    let err = c.query("/r").unwrap_err();
+    assert!(
+        matches!(&err, ClientError::Server { code, .. } if format!("{code}") == "too-large"),
+        "{err}"
+    );
+    let err = c.flwor("for $x in /r return <w>{ $x }</w>").unwrap_err();
+    assert!(
+        matches!(&err, ClientError::Server { code, .. } if format!("{code}") == "too-large"),
+        "{err}"
+    );
+    assert!(!c.is_poisoned());
+    let rows = c.query("/r/t").unwrap();
+    assert!(rows.len() > 2 && rows.iter().all(|m| m.xml == element));
+    handle.shutdown();
+    handle.join().unwrap();
+}
+
+/// A peer speaking protocol version 2 (one `Query`/`Flwor` row per frame)
+/// is refused in the hello instead of misreading packed rows: the server
+/// sends its own hello and closes the connection.
+#[test]
+fn a_version_2_hello_is_refused() {
+    use axs_client::wire;
+    use std::io::{Read as _, Write as _};
+
+    let handle = start_in_memory(ServerConfig::default());
+    let mut sock = std::net::TcpStream::connect(handle.local_addr()).unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut hello = [0u8; 8];
+    hello[..4].copy_from_slice(&wire::MAGIC);
+    hello[4] = 2;
+    sock.write_all(&hello).unwrap();
+    assert!(wire::read_hello(&mut sock).is_ok(), "the server speaks v3");
+    let mut ping = Vec::new();
+    wire::write_frame(
+        &mut ping,
+        &wire::Frame::request(1, wire::OpCode::Ping, Vec::new()),
+    )
+    .unwrap();
+    // The server may close before the ping arrives; either way no answer.
+    let _ = sock.write_all(&ping);
+    let mut rest = Vec::new();
+    let read = sock.read_to_end(&mut rest);
+    assert!(
+        rest.is_empty(),
+        "no frame answers a v2 peer: {read:?} {rest:?}"
+    );
+    // A v3 client still connects.
+    connect(&handle).ping().unwrap();
     handle.shutdown();
     handle.join().unwrap();
 }

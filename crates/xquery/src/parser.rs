@@ -117,8 +117,8 @@ impl<'a> P<'a> {
         })
     }
 
-    /// `$var` optionally followed by `/rel/path`. The variable must be in
-    /// scope.
+    /// `$var` optionally followed by `/rel/path` or `//rel/path`. The
+    /// variable must be in scope.
     fn parse_var_path(&mut self) -> Result<VarPath, FlworError> {
         self.skip_ws();
         if !self.eat("$") {
@@ -135,8 +135,12 @@ impl<'a> P<'a> {
                     .join(", ")
             )));
         };
-        let path = if self.eat("/") {
-            Some(self.parse_path_until(&['}', '=', '!', '<', '>', ']', ')'])?)
+        // `$x//b` keeps both slashes, so its first step is `descendant::b`
+        // from `$x`; `$x/b` drops the one, so its first is `child::b`.
+        let path = if self.rest().starts_with("//") || self.eat("/") {
+            let mut path = self.parse_path_until(&['}', '=', '!', '<', '>', ']', ')'])?;
+            path.absolute = false;
+            Some(path)
         } else {
             None
         };

@@ -12,12 +12,20 @@
 //! can be checked for byte-identical answers, and the node table's heap
 //! bytes per node.
 //!
+//! With `--wire`, each store is then served by `Server::start` on
+//! loopback and one `Client` runs the same queries, best of N: a `wire_us`
+//! column prints beside the in-process one, and the hash of the rows the
+//! client received must equal the in-process hash (a mismatch is printed
+//! and fails the run), so packed answers are checked byte for byte.
+//!
 //! ```sh
-//! cargo run --release --example query_costs [-- <runs, default 20>]
+//! cargo run --release --example query_costs [-- [--wire] <runs, default 20>]
 //! ```
 
 use adaptive_xml_storage::prelude::*;
+use axs_client::Client;
 use axs_core::{NodeTable, ReadView};
+use axs_server::{Server, ServerConfig};
 use axs_workload::docgen;
 use axs_xml::StreamSerializer;
 use axs_xquery::{evaluate_flwor_into, RowSink};
@@ -112,18 +120,54 @@ fn answer<V: ReadView>(
     Ok((r.rows, r.out))
 }
 
+/// One query's answer over the wire, as the client received it: its row
+/// count and its rows, one `\n` after each.
+fn answer_over_wire(
+    client: &mut Client,
+    query: &str,
+) -> Result<(usize, String), Box<dyn std::error::Error>> {
+    let rows = if query.starts_with("for ") {
+        client.flwor(query)?
+    } else {
+        client.query(query)?.into_iter().map(|m| m.xml).collect()
+    };
+    let mut out = String::new();
+    for row in &rows {
+        out.push_str(row);
+        out.push('\n');
+    }
+    Ok((rows.len(), out))
+}
+
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
 }
 
+/// Best of `runs` timings of `f`, in µs.
+fn best_us<T>(
+    runs: usize,
+    mut f: impl FnMut() -> Result<T, Box<dyn std::error::Error>>,
+) -> Result<f64, Box<dyn std::error::Error>> {
+    let mut best = f64::INFINITY;
+    for _ in 0..runs {
+        let t0 = Instant::now();
+        std::hint::black_box(f()?);
+        best = best.min(t0.elapsed().as_secs_f64() * 1e6);
+    }
+    Ok(best)
+}
+
+/// Prints the report for one document; false when some answer over the
+/// wire differed from the in-process one.
 fn report(
     name: &str,
     tokens: Vec<Token>,
     queries: &[&str],
     runs: usize,
-) -> Result<(), Box<dyn std::error::Error>> {
+    wire: bool,
+) -> Result<bool, Box<dyn std::error::Error>> {
     let dir = std::env::temp_dir().join(format!("axs-query-costs-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut store = StoreBuilder::new().directory(&dir).build()?;
@@ -139,35 +183,72 @@ fn report(
         table.len(),
         table.heap_bytes() as f64 / table.len() as f64
     );
-    println!(
-        "{:>10} {:>6}  {:<16}  query",
-        "best_us", "rows", "answer_fnv1a"
-    );
+    let mut local = Vec::with_capacity(queries.len());
     for query in queries {
         let (rows, text) = answer(&*pin, query)?;
-        let mut best = f64::INFINITY;
-        for _ in 0..runs {
-            let t0 = Instant::now();
-            std::hint::black_box(answer(&*pin, query)?);
-            best = best.min(t0.elapsed().as_secs_f64() * 1e6);
-        }
-        println!(
-            "{best:>10.1} {rows:>6}  {:016x}  {query}",
-            fnv1a(text.as_bytes())
-        );
+        let best = best_us(runs, || answer(&*pin, query))?;
+        local.push((best, rows, fnv1a(text.as_bytes())));
     }
+    drop(table);
     drop(pin);
-    drop(store);
+    let mut agree = true;
+    if wire {
+        // The same store, served on loopback, queried by one client.
+        let server = Server::start(store, ServerConfig::default())?;
+        let mut client = Client::connect(server.local_addr())?;
+        println!(
+            "{:>10} {:>10} {:>6}  {:<16}  query",
+            "best_us", "wire_us", "rows", "answer_fnv1a"
+        );
+        for (query, (best, rows, hash)) in queries.iter().zip(&local) {
+            let (wire_rows, text) = answer_over_wire(&mut client, query)?;
+            let wire_us = best_us(runs, || answer_over_wire(&mut client, query))?;
+            let wire_hash = fnv1a(text.as_bytes());
+            print!("{best:>10.1} {wire_us:>10.1} {rows:>6}  {hash:016x}  {query}");
+            if (wire_rows, wire_hash) != (*rows, *hash) {
+                agree = false;
+                print!("  MISMATCH: wire {wire_rows} rows, {wire_hash:016x}");
+            }
+            println!();
+        }
+        drop(client);
+        server.shutdown();
+        server.join()?;
+    } else {
+        println!(
+            "{:>10} {:>6}  {:<16}  query",
+            "best_us", "rows", "answer_fnv1a"
+        );
+        for (query, (best, rows, hash)) in queries.iter().zip(&local) {
+            println!("{best:>10.1} {rows:>6}  {hash:016x}  {query}");
+        }
+        drop(store);
+    }
     std::fs::remove_dir_all(&dir)?;
-    Ok(())
+    Ok(agree)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let runs = match std::env::args().nth(1) {
-        Some(n) => n.parse()?,
-        None => 20,
-    };
-    report("auction", docgen::auction_site(4242, 2500), &AUCTION, runs)?;
-    report("orders", purchase_order_days(4242, 200), &ORDERS, runs)?;
+    let mut wire = false;
+    let mut runs = 20;
+    for arg in std::env::args().skip(1) {
+        if arg == "--wire" {
+            wire = true;
+        } else {
+            runs = arg.parse()?;
+        }
+    }
+    let auction = docgen::auction_site(4242, 2500);
+    let agree = report("auction", auction, &AUCTION, runs, wire)?
+        & report(
+            "orders",
+            purchase_order_days(4242, 200),
+            &ORDERS,
+            runs,
+            wire,
+        )?;
+    if !agree {
+        return Err("an answer over the wire differs from the in-process one".into());
+    }
     Ok(())
 }

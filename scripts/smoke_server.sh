@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Loopback smoke test for the axsd server: start `axs serve` on a
-# directory-backed store, drive a scripted `axs connect` session, shut the
+# directory-backed store, drive scripted `axs connect` sessions (one
+# queries 20 000 rows, an answer that spans several frames), shut the
 # server down with SIGTERM, and check the store reopens clean with the
 # remote writes persisted. Then restart it, insert, `kill -9` it, and check
 # that the restarted server recovers the insert from the log it wrote.
@@ -170,6 +171,27 @@ grep -q "blue .*open"          <<<"$MULTI_OUT" || fail "stores listing missed bl
 grep -q 'dropped store "blue"' <<<"$MULTI_OUT" || fail "drop-store failed: $MULTI_OUT"
 grep -q "unknown-store"        <<<"$MULTI_OUT" || fail "dropped store still reachable: $MULTI_OUT"
 grep -q "1 match(es)"          <<<"$MULTI_OUT" || fail "survivor store lost data: $MULTI_OUT"
+
+# packed-rows stage: 20 000 matches span several 64 KiB answer frames, and
+# the client must count every row of every frame, over XPath and FLWOR.
+WIDE_XML="<wide>$(printf '<e/>%.0s' $(seq 1 20000))</wide>"
+WIDE_OUT="$("$AXS" connect "127.0.0.1:$PORT" <<EOF
+create-store wide
+use wide
+loadxml $WIDE_XML
+query //e
+for \$x in //e return { \$x }
+use default
+drop-store wide
+quit
+EOF
+)"
+grep -q "^\(axs> \)*20000 match(es)" <<<"$WIDE_OUT" \
+    || fail "a many-frame query lost rows: $(head -c 2000 <<<"$WIDE_OUT")"
+grep -q "^\(axs> \)*20000 row(s)" <<<"$WIDE_OUT" \
+    || fail "a many-frame FLWOR lost rows: $(head -c 2000 <<<"$WIDE_OUT")"
+grep -q 'dropped store "wide"' <<<"$WIDE_OUT" \
+    || fail "drop-store wide failed: $(tail -c 2000 <<<"$WIDE_OUT")"
 
 # Graceful shutdown must drain and flush through the WAL.
 kill -TERM "$SERVER_PID"

@@ -42,6 +42,24 @@ fn flwor_where_equals_xpath_predicate() {
 }
 
 #[test]
+fn flwor_descendant_step_from_a_variable_reaches_every_level() {
+    let mut store = StoreBuilder::new().build().unwrap();
+    let doc = parse_fragment(
+        "<a><c><b>deep</b></c><b>top</b></a>",
+        axs_xml::ParseOptions::data_centric(),
+    )
+    .unwrap();
+    store.bulk_insert(doc).unwrap();
+    let q = parse_flwor("for $x in /a return <r>{ $x//b }</r>").unwrap();
+    let rows: Vec<String> = evaluate_flwor(&store, &q)
+        .unwrap()
+        .iter()
+        .map(|row| serialize(row, &SerializeOptions::default()).unwrap())
+        .collect();
+    assert_eq!(rows, ["<r><b>deep</b><b>top</b></r>"]);
+}
+
+#[test]
 fn navigation_agrees_with_xpath_children() {
     let mut store = StoreBuilder::new().build().unwrap();
     store.bulk_insert(docgen::auction_site(11, 4)).unwrap();
@@ -309,6 +327,49 @@ mod three_way {
         Ok(())
     }
 
+    /// What `$x//n` selects in the descendant property.
+    const DESCENDANT_TESTS: [&str; 6] = ["a", "b", "c", "*", "text()", "node()"];
+
+    /// A child-only path from the root `r`: its bindings are disjoint
+    /// subtrees, in document order.
+    fn child_path() -> impl Strategy<Value = String> {
+        proptest::collection::vec((0..4usize, 0..PREDICATES.len()), 0..3).prop_map(|steps| {
+            let mut text = String::from("/r");
+            for (step, pred) in steps {
+                text.push('/');
+                text.push_str(STEPS[step]);
+                text.push_str(PREDICATES[pred]);
+            }
+            text
+        })
+    }
+
+    /// On a pinned snapshot, the rows of `for $x in P return { $x//n }`,
+    /// concatenated, are the subtrees `P//n` matches, concatenated.
+    fn assert_descendants_agree(
+        store: &XmlStore,
+        paths: &[(String, usize)],
+    ) -> Result<(), TestCaseError> {
+        let pin = store.epoch_registry().pin().unwrap();
+        for (p, n) in paths {
+            let n = DESCENDANT_TESTS[*n];
+            let path = format!("{p}//{n}");
+            let via_path: Vec<Token> = evaluate_store(&*pin, &compile(&path).unwrap())
+                .unwrap()
+                .into_iter()
+                .flat_map(|(_, t)| t)
+                .collect();
+            let flwor = format!("for $x in {p} return {{ $x//{n} }}");
+            let via_flwor: Vec<Token> = evaluate_flwor(&*pin, &parse_flwor(&flwor).unwrap())
+                .unwrap()
+                .into_iter()
+                .flatten()
+                .collect();
+            prop_assert_eq!(&via_flwor, &via_path, "{} against {}", flwor, path);
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
         #[test]
@@ -354,6 +415,31 @@ mod three_way {
             for w in &writes {
                 apply(&mut store, root, w);
                 assert_where_agrees(&store, &paths)?;
+            }
+        }
+
+        #[test]
+        fn flwor_descendant_step_agrees_with_the_path_on_a_snapshot(
+            children in proptest::collection::vec(tree(), 1..5),
+            writes in proptest::collection::vec(write(), 0..5),
+            paths in proptest::collection::vec(
+                (child_path(), 0..DESCENDANT_TESTS.len()),
+                4..8,
+            ),
+        ) {
+            let mut store = StoreBuilder::new()
+                .policy(IndexingPolicy::RangeOnly { target_range_bytes: 64 })
+                .build()
+                .unwrap();
+            let mut doc = vec![Token::begin_element("r")];
+            doc.extend(children.into_iter().flatten());
+            doc.push(Token::EndElement);
+            let root = store.bulk_insert(doc).unwrap().start;
+            store.commit().unwrap();
+            assert_descendants_agree(&store, &paths)?;
+            for w in &writes {
+                apply(&mut store, root, w);
+                assert_descendants_agree(&store, &paths)?;
             }
         }
     }
